@@ -1129,6 +1129,11 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
               "observers host-side after the partitions join (see "
               "docs/simulation.md)");
     }
+    if (opts.lanes > 1 && opts.partitions > 1) {
+        fatal("cppsim: a lane module (lanes=", opts.lanes,
+              ") cannot be partitioned; batched runs spread their tiles "
+              "over threads instead (see docs/simulation.md)");
+    }
 
     Codegen cg(prog);
     cg.L = opts.lanes;
@@ -1178,22 +1183,13 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
         for (uint32_t t = 0; t < nTasks; ++t) {
             cg.curPart = t;
             std::vector<std::string> stmts;
-            std::vector<char> fusable;
             for (uint32_t n : plan.tasks[t].nodes) {
-                bool fus = false;
-                std::string s =
-                    nodeStmt(cg, cg.sched.nodes()[n], &fus);
-                if (!s.empty()) {
+                std::string s = nodeStmt(cg, cg.sched.nodes()[n]);
+                if (!s.empty())
                     stmts.push_back(std::move(s));
-                    fusable.push_back(fus);
-                }
             }
-            // Lane wrapping per task: fusion never crosses a partition
-            // boundary, so each task stays independently dispatchable.
-            if (cg.L > 1)
-                stmts = wrapLaneLoops(std::move(stmts), fusable);
             partFns[t] = buildChunks("evalp" + std::to_string(t), stmts,
-                                     cppsimChunkStatements, cg.L > 1);
+                                     cppsimChunkStatements, false);
         }
         cg.curPart = 0;
     } else {
@@ -1303,7 +1299,7 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
     if (cg.parted) {
         for (size_t t = 0; t < nTasks; ++t)
             os << chunkDecls("evalp" + std::to_string(t),
-                             partFns[t].size(), cg.L > 1);
+                             partFns[t].size(), false);
     } else {
         os << chunkDecls("eval", evalFns.size(), cg.L > 1);
     }

@@ -79,9 +79,8 @@ struct CppSimOptions
      * private guard-pool slice and a private error slot (`perr[i]`),
      * so concurrent partition evals never write shared state. The
      * probed variant is rejected with partitions (observers are
-     * notified host-side after the partitions join). Composes with
-     * lanes > 1 (batch inner parallelism): statements are lane-wrapped
-     * per task, so lane fusion never crosses a partition boundary.
+     * notified host-side after the partitions join), and so is lanes >
+     * 1 (batched runs spread their tiles over threads instead).
      */
     uint32_t partitions = 0;
 };

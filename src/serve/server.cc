@@ -31,6 +31,12 @@ statsJson(const ServeOptions &opts, const ServeStats &stats,
     s.set("module_loads", json::Value::number(runner.moduleLoads()));
     s.set("modules_from_cache",
           json::Value::boolean(runner.modulesFromCache()));
+    // Tile shapes: padded_lanes over the lanes evaluated is the share
+    // of simulation work spent on dead lanes.
+    const sim::BatchRunner::TileCounts &tc = runner.tileCounts();
+    s.set("scalar_tiles", json::Value::number(tc.scalarTiles));
+    s.set("lane_tiles", json::Value::number(tc.laneTiles));
+    s.set("padded_lanes", json::Value::number(tc.paddedLanes));
     // Compile-cache counters, mirroring the module_loads/
     // modules_from_cache proof for the simulation side: a warm stream
     // shows artifacts_from_cache/components_from_cache climbing while
@@ -83,8 +89,9 @@ serve(const sim::SimProgram &prog, std::istream &in, std::ostream &out,
     if (opts.laneTile)
         bo.laneTile = opts.laneTile;
     bo.maxCycles = opts.maxCycles;
-    // Resident runner: schedule walk tables and the JIT module are
-    // built here, once, before the first request is even read.
+    // Resident runner: schedule walk tables are built here, once; each
+    // compiled module shape (scalar, lane-tile-wide) loads inside the
+    // first run request that needs it and stays for the session.
     sim::BatchRunner runner(prog, bo);
     // Resident compiler: the compile cache lives for the session, so a
     // stream of mutated programs pays the pass pipeline only for the

@@ -19,7 +19,7 @@ struct ServeOptions
 {
     sim::Engine engine = sim::Engine::Compiled;
     unsigned threads = 1;
-    /// 0 keeps the BatchOptions default (fixed compiled lane width).
+    /// 0 keeps the BatchOptions default (widest compiled tile).
     uint32_t laneTile = 0;
     uint64_t maxCycles = 50'000'000;
     /// Input path, echoed in the stats report envelope.
@@ -42,12 +42,13 @@ struct ServeStats
 
 /**
  * The `futil --serve` loop: a resident compile + stimulus-stream
- * service. One BatchRunner — schedule, driver tables, and JIT-compiled
- * lane module — is built up front and reused for every `run` request,
- * so a stream of stimulus batches pays compilation exactly once (the
- * `stats` request reports module_loads/modules_from_cache to prove
- * it), and one cache::CompileService answers `compile` requests
- * (source + pipeline spec + backend in, emitted artifact out) with
+ * service. One BatchRunner — schedule and driver tables up front, the
+ * scalar and lane-tile-wide JIT modules on first use — serves every
+ * `run` request, so a stream of stimulus batches loads at most two
+ * modules (the `stats` request reports module_loads/modules_from_cache
+ * to prove it, and scalar_tiles/lane_tiles/padded_lanes to show the
+ * tile shapes run), and one cache::CompileService answers `compile`
+ * requests (source + pipeline spec + backend in, emitted artifact out) with
  * content-addressed caching and incremental per-component reuse, so a
  * stream of mutated programs is served from memory (`stats` mirrors
  * the cache-hit counters under "compile"). Requests and responses are

@@ -94,18 +94,25 @@ BatchRunner::BatchRunner(const SimProgram &program, const BatchOptions &o)
 BatchRunner::~BatchRunner() = default;
 
 std::shared_ptr<CompiledModule>
-BatchRunner::moduleFor(uint32_t lanes, uint32_t partitions)
+BatchRunner::moduleFor(uint32_t lanes)
 {
-    auto key = std::make_pair(lanes, partitions);
-    auto it = modules.find(key);
+    auto it = modules.find(lanes);
     if (it != modules.end())
         return it->second;
-    auto mod = CompiledModule::load(*prog, /*probe=*/false, lanes,
-                                    partitions);
+    // One lane is the scalar module: the same digest, and so the same
+    // cached object, as SimProgram::compiledModule().
+    auto mod = CompiledModule::load(*prog, /*probe=*/false, lanes);
     ++loads;
     allFromCache = allFromCache && mod->fromCache();
-    modules.emplace(key, mod);
+    modules.emplace(lanes, mod);
     return mod;
+}
+
+void
+BatchRunner::countTiles(size_t tiles, uint32_t lanes, size_t stimuli)
+{
+    (lanes == 1 ? tally.scalarTiles : tally.laneTiles) += tiles;
+    tally.paddedLanes += tiles * lanes - stimuli;
 }
 
 std::vector<std::vector<uint64_t>>
@@ -141,7 +148,6 @@ void
 BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
                              size_t start, size_t count, uint32_t lanes,
                              const CompiledModule &mod,
-                             PartitionRunner *runner,
                              std::vector<LaneResult> &out)
 {
     const size_t np = prog->numPorts();
@@ -172,8 +178,9 @@ BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
     mod.bind(inst.inst, regPtrs.data(), memPtrs.data());
     mod.reset(inst.inst, vals.data());
 
-    // Seed: short tail tiles pad with copies of the tile's first
-    // stimulus — a real, terminating input whose results are dropped.
+    // Seed: a padded tail tile fills its spare lanes with copies of the
+    // tile's first stimulus — a real, terminating input whose results
+    // are dropped.
     for (uint32_t l = 0; l < lanes; ++l) {
         auto imgs = seedImages(batch[start + (l < count ? l : 0)]);
         for (size_t m = 0; m < numMems; ++m) {
@@ -194,16 +201,7 @@ BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
                   " cycles with ", liveCount, " of ", lanes,
                   " lanes unfinished");
         }
-        // Partitioned settle: the runner walks the module's macro-task
-        // plan across the pool; error() on a partitioned module
-        // aggregates every task's private slot after the join.
-        if (runner) {
-            runner->run([&](uint32_t task, unsigned) {
-                mod.evalPartition(inst.inst, vals.data(), task);
-            });
-        } else {
-            mod.eval(inst.inst, vals.data());
-        }
+        mod.eval(inst.inst, vals.data());
         if (const char *e = mod.error(inst.inst))
             fatal("compiled engine: ", e);
         // done is sampled where CycleSim samples it: after the settle,
@@ -537,37 +535,40 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
     const size_t B = batch.size();
 
     if (opts.engine == Engine::Compiled) {
-        // Fixed lane width (see BatchOptions::laneTile): the one
-        // resident module runs every batch, padding short tiles.
+        // Tile shape follows the batch (see BatchOptions::laneTile):
+        // full laneTile-wide tiles, then a remainder of at most half a
+        // tile as one-lane tiles on the scalar module, or a longer one
+        // as a single padded laneTile-wide tile.
         const uint32_t L = opts.laneTile;
-        const size_t nTiles = (B + L - 1) / L;
-        // Single-tile batches move the threads inside the tile (see
-        // BatchOptions::threads): a partitioned module plus its
-        // macro-task runner, running on the caller since the outer
-        // parallelFor over one tile is serial.
-        const unsigned inner =
-            opts.threads > 1 && nTiles == 1 ? opts.threads : 1;
-        auto mod = moduleFor(L, inner > 1 ? partitionTarget() : 0);
-        PartitionRunner *runner = nullptr;
-        if (inner > 1 && mod->numPartitions() > 1) {
-            if (!innerPlan) {
-                innerPlan = std::make_unique<PartitionPlan>(
-                    mod->partitionPlan(inner));
-                innerRunner = std::make_unique<PartitionRunner>(*innerPlan);
-            }
-            runner = innerRunner.get();
+        size_t wideTiles = B / L, scalarTiles = B % L;
+        if (scalarTiles > L / 2) {
+            ++wideTiles;
+            scalarTiles = 0;
         }
+        countTiles(wideTiles, L, B - scalarTiles);
+        countTiles(scalarTiles, 1, scalarTiles);
+        // Load only the shapes this batch runs.
+        auto wide = wideTiles ? moduleFor(L) : nullptr;
+        auto scalar = scalarTiles ? moduleFor(1) : nullptr;
         WorkPool::global().parallelFor(
-            nTiles, opts.threads, [&](size_t t) {
-                size_t startIdx = t * L;
-                size_t count = std::min<size_t>(L, B - startIdx);
-                runCompiledTile(batch, startIdx, count, L, *mod, runner,
-                                out);
+            wideTiles + scalarTiles, opts.threads, [&](size_t t) {
+                if (t < wideTiles) {
+                    size_t startIdx = t * L;
+                    size_t count = std::min<size_t>(L, B - startIdx);
+                    runCompiledTile(batch, startIdx, count, L, *wide, out);
+                } else {
+                    runCompiledTile(batch, B - scalarTiles + (t - wideTiles),
+                                    1, 1, *scalar, out);
+                }
             });
     } else {
         const uint32_t L =
             static_cast<uint32_t>(std::min<size_t>(opts.laneTile, B));
         const size_t nTiles = (B + L - 1) / L;
+        // The last tile narrows to what is left: never padded.
+        countTiles(B / L, L, B / L * L);
+        if (B % L)
+            countTiles(1, B % L, B % L);
         const unsigned inner =
             opts.threads > 1 && nTiles == 1 ? opts.threads : 1;
         PartitionRunner *runner = nullptr;

@@ -41,31 +41,33 @@ struct BatchOptions
 {
     Engine engine = Engine::Compiled;
     /**
-     * Worker threads. Normally tiles are spread over them (1 = run on
-     * the caller); when a batch has a single tile (notably batch size
-     * 1 — a serve run request) the threads move *inside* the tile
-     * instead, running the macro-task partition plan (sim/partition.h)
-     * so a lone stimulus still uses the machine. The two levels never
-     * stack: inner partitioning engages only when the outer tile loop
-     * is serial, so occupancy stays at `threads` either way (see
-     * docs/simulation.md "Partitioned execution").
+     * Worker threads (1 = run on the caller). Tiles are spread over
+     * them, including the one-lane tiles of a short compiled batch.
+     * The levelized engine, when a batch has a single tile (notably
+     * batch size 1), moves the threads *inside* the tile instead,
+     * running the macro-task partition plan (sim/partition.h). The two
+     * levels never stack: inner partitioning engages only when the
+     * outer tile loop is serial, so occupancy stays at `threads` either
+     * way (see docs/simulation.md "Partitioned execution").
      */
     unsigned threads = 1;
     /**
-     * Lanes per tile. A batch is cut into tiles of at most this many
-     * lanes; each tile is one schedule walk (levelized) or one lane
-     * module pass (compiled) and one work item for the thread pool.
+     * Widest tile, in lanes. Each tile is one schedule walk (levelized)
+     * or one module pass (compiled) and one work item for the pool.
      *
-     * The compiled engine runs at this width *fixed*: one resident
-     * JIT module (compiled for exactly laneTile lanes) serves every
-     * batch size, with short batches padding dead lanes — a serve
-     * process never recompiles because request shapes vary, at the
-     * cost of single-stimulus runs paying a full tile pass. 16 lanes
-     * is the measured sweet spot on AVX-512 hosts: two 8×u64 vectors
-     * per plane op, and a gemm-sized working set still L1-resident.
-     * The levelized engine narrows tiles to the batch instead (its
-     * interpreter cost is linear in live lanes, so padding only
-     * wastes work).
+     * The compiled engine cuts a batch into full laneTile-wide tiles on
+     * a module compiled for exactly laneTile lanes. A remainder of at
+     * most laneTile/2 stimuli runs as one-lane tiles on the scalar
+     * module; a longer one runs as one padded laneTile-wide tile whose
+     * dead lanes are discarded. A resident runner therefore loads at
+     * most two modules whatever the request shapes. Per stimulus, the
+     * scalar module beats a 16-lane tile pass up to a remainder of 20
+     * (systolic 16x16), 10 (eight PolyBench kernels) and 9 (the same,
+     * unrolled): 4.0 ms scalar against 80 ms per tile, 36.8 against
+     * 370, 44.6 against 405, on a 4-vCPU x86-64 host. laneTile/2 stays
+     * below each. The levelized engine narrows the last tile to what is
+     * left instead (its interpreter cost is linear in live lanes, so
+     * padding only wastes work).
      */
     uint32_t laneTile = 16;
     uint64_t maxCycles = 50'000'000;
@@ -94,14 +96,15 @@ struct BatchOptions
  * Tiles own disjoint state, so they parallelize over the work-stealing
  * pool (support/pool.h) without locks.
  *
- * A BatchRunner is resident: construction resolves the schedule, the
- * driver tables, and (compiled engine) the JIT module once, and run()
- * reuses them for every subsequent batch — the object `futil --serve`
- * keeps alive across requests. Construction fatal()s on programs with
- * groups (batching needs fully-lowered programs), on Engine::Jacobi
- * (the oracle stays scalar), and on anything CompiledModule::load
- * rejects. Observers are rejected by design: batched runs have no
- * probe hookup (docs/simulation.md, docs/observability.md).
+ * A BatchRunner is resident: construction resolves the schedule and the
+ * driver tables once, run() loads each compiled module shape (scalar,
+ * laneTile-wide) the first time a batch needs it, and every later batch
+ * reuses them — the object `futil --serve` keeps alive across requests.
+ * Construction fatal()s on programs with groups (batching needs
+ * fully-lowered programs) and on Engine::Jacobi (the oracle stays
+ * scalar); run() fatal()s on anything CompiledModule::load rejects.
+ * Observers are rejected by design: batched runs have no probe hookup
+ * (docs/simulation.md, docs/observability.md).
  */
 class BatchRunner
 {
@@ -124,8 +127,18 @@ class BatchRunner
     uint64_t memSize(size_t m) const { return memSizes[m]; }
 
     /** Times a JIT module was loaded (compiled engine; a resident
-     * runner serving many batches of one shape loads exactly once). */
+     * runner loads at most two: scalar and laneTile-wide). */
     uint64_t moduleLoads() const { return loads; }
+
+    /** Tiles and lanes run so far, summed over every run(). */
+    struct TileCounts
+    {
+        uint64_t scalarTiles = 0; ///< One-lane tiles.
+        uint64_t laneTiles = 0;   ///< Tiles wider than one lane.
+        /// Lanes evaluated without a stimulus (padded compiled tiles).
+        uint64_t paddedLanes = 0;
+    };
+    const TileCounts &tileCounts() const { return tally; }
 
     /** True when every load so far was served from the on-disk object
      * cache without invoking the host compiler. */
@@ -139,13 +152,13 @@ class BatchRunner
     void runCompiledTile(const std::vector<Stimulus> &batch, size_t start,
                          size_t count, uint32_t lanes,
                          const CompiledModule &mod,
-                         PartitionRunner *runner,
                          std::vector<LaneResult> &out);
     void runLevelizedTile(const std::vector<Stimulus> &batch, size_t start,
                           size_t count, PartitionRunner *runner,
                           std::vector<LaneResult> &out);
-    std::shared_ptr<CompiledModule> moduleFor(uint32_t lanes,
-                                              uint32_t partitions);
+    std::shared_ptr<CompiledModule> moduleFor(uint32_t lanes);
+    /// Add `tiles` tiles `lanes` wide holding `stimuli` stimuli in all.
+    void countTiles(size_t tiles, uint32_t lanes, size_t stimuli);
 
     /// Per-memory-slot lane image for one stimulus (resolved indices).
     std::vector<std::vector<uint64_t>> seedImages(const Stimulus &s) const;
@@ -159,16 +172,17 @@ class BatchRunner
     std::vector<uint64_t> memSizes;
     std::map<std::string, size_t> memSlotByPath;
 
-    /// JIT modules by (lanes, partitions) shape.
-    std::map<std::pair<uint32_t, uint32_t>, std::shared_ptr<CompiledModule>>
-        modules;
+    /// JIT modules by lane count.
+    std::map<uint32_t, std::shared_ptr<CompiledModule>> modules;
     uint64_t loads = 0;
     bool allFromCache = true;
+    TileCounts tally;
 
     std::unique_ptr<LevelizedPlan> plan; ///< Levelized engine only.
 
-    /// Intra-tile macro-task plan, built lazily the first time a run
-    /// has a single tile and threads > 1 (see BatchOptions::threads).
+    /// Intra-tile macro-task plan (levelized engine), built lazily the
+    /// first time a run has a single tile and threads > 1 (see
+    /// BatchOptions::threads).
     std::unique_ptr<PartitionPlan> innerPlan;
     std::unique_ptr<PartitionRunner> innerRunner;
 };

@@ -4,7 +4,8 @@
  * register state, memory images, per lane — to N scalar CycleSim runs,
  * on both the levelized and compiled engines, including batches whose
  * lanes take divergent control paths (a while loop bounded by a value
- * loaded from memory) and batches cut into tiles with a padded tail.
+ * loaded from memory) and batches cut into tiles whose tail runs
+ * either padded or (compiled engine, short tails) on the scalar module.
  * Also covers the work-stealing pool the tiles are spread over, and
  * the construction-time rejections (groups, the Jacobi oracle).
  */
@@ -70,15 +71,19 @@ runScalar(const Context &ctx, const sim::Stimulus &stim, sim::Engine engine)
     return r;
 }
 
+/** `counts`, when given, receives the tile shapes the batch ran as. */
 void
 expectBatchMatchesScalar(const Context &ctx,
                          const std::vector<sim::Stimulus> &batch,
                          const sim::BatchOptions &opts,
-                         const std::string &label)
+                         const std::string &label,
+                         sim::BatchRunner::TileCounts *counts = nullptr)
 {
     sim::SimProgram sp(ctx, ctx.entrypoint());
     sim::BatchRunner runner(sp, opts);
     auto results = runner.run(batch);
+    if (counts)
+        *counts = runner.tileCounts();
     ASSERT_EQ(results.size(), batch.size()) << label;
     for (size_t l = 0; l < batch.size(); ++l) {
         ScalarRef ref = runScalar(ctx, batch[l], opts.engine);
@@ -186,7 +191,10 @@ TEST(BatchSim, DivergentControlPathsPerLane)
     for (sim::Engine engine : batchEngines()) {
         sim::BatchOptions opts;
         opts.engine = engine;
-        opts.laneTile = 4; // 10 lanes -> tiles of 4, 4, and a 2-lane tail.
+        // 10 lanes -> tiles of 4, 4, and a 2-stimulus tail (two
+        // scalar tiles on the compiled engine, one narrowed levelized
+        // tile).
+        opts.laneTile = 4;
         opts.threads = 3;
         expectBatchMatchesScalar(ctx, batch, opts, "data-bounded loop");
     }
@@ -220,9 +228,53 @@ TEST(BatchSim, PolybenchDivergentDataPerLane)
     for (sim::Engine engine : batchEngines()) {
         sim::BatchOptions opts;
         opts.engine = engine;
-        opts.laneTile = 4; // Padded 2-lane tail tile.
+        opts.laneTile = 4; // 2-stimulus tail: scalar tiles (compiled).
         opts.threads = 2;
         expectBatchMatchesScalar(ctx, batch, opts, "gemm");
+    }
+}
+
+/** `n` stimuli with divergent trip counts for kDataBoundedLoop. */
+std::vector<sim::Stimulus>
+boundedLoopBatch(size_t n)
+{
+    std::vector<sim::Stimulus> batch(n);
+    for (size_t b = 0; b < n; ++b) {
+        batch[b].mems.emplace_back("bound",
+                                   std::vector<uint64_t>{(b * 5) % 13});
+    }
+    return batch;
+}
+
+TEST(BatchSim, CompiledTailShapesMatchScalar)
+{
+    if (!sim::compiledEngineUnavailableReason().empty())
+        GTEST_SKIP() << sim::compiledEngineUnavailableReason();
+    Context ctx = Parser::parseProgram(kDataBoundedLoop);
+    passes::runPipeline(ctx, "all");
+    // laneTile 8: a batch of 11 is one full tile plus a 3-stimulus
+    // tail (<= 4) on three scalar tiles; a batch of 14 has a 6-stimulus
+    // tail (> 4), which runs as one padded 8-lane tile.
+    struct Shape
+    {
+        size_t batch;
+        uint64_t scalarTiles, laneTiles, paddedLanes;
+    };
+    for (Shape shape : {Shape{11, 3, 1, 0}, Shape{14, 0, 2, 2}}) {
+        for (unsigned threads : {1u, 3u}) {
+            sim::BatchOptions opts;
+            opts.engine = sim::Engine::Compiled;
+            opts.laneTile = 8;
+            opts.threads = threads;
+            std::string label = "batch " + std::to_string(shape.batch) +
+                                ", " + std::to_string(threads) + " threads";
+            sim::BatchRunner::TileCounts tc;
+            expectBatchMatchesScalar(ctx, boundedLoopBatch(shape.batch),
+                                     opts, label, &tc);
+            EXPECT_EQ(tc.scalarTiles, shape.scalarTiles) << label;
+            EXPECT_EQ(tc.laneTiles, shape.laneTiles) << label;
+            EXPECT_EQ(tc.paddedLanes, shape.paddedLanes) << label;
+        }
     }
 }
 
@@ -246,8 +298,18 @@ TEST(BatchSim, ResidentRunnerReusesOneModule)
             EXPECT_EQ(results[b].regs[0], 3 * b)
                 << "round " << round << " lane " << b;
     }
-    // The JIT module is resident: one load serves every batch.
+    // The JIT module is resident: one load serves every full batch.
     EXPECT_EQ(runner.moduleLoads(), 1u);
+
+    // Batches of every shape add at most the scalar module.
+    for (size_t n : {1, 3, 8, 11}) {
+        auto shaped = boundedLoopBatch(n);
+        auto results = runner.run(shaped);
+        for (size_t b = 0; b < n; ++b)
+            EXPECT_EQ(results[b].regs[0], 3 * ((b * 5) % 13))
+                << "batch " << n << " lane " << b;
+    }
+    EXPECT_LE(runner.moduleLoads(), 2u);
 }
 
 TEST(BatchSim, RejectsJacobiAndGroups)

@@ -311,9 +311,56 @@ TEST(Serve, SustainsHundredRequestsOnResidentCompiledModule)
     }
     const json::Value &serve_stats = docs[100].at("result").at("serve");
     // Resident module: 100 runs, exactly one JIT load, served from
-    // the object cache without recompiling.
+    // the object cache without recompiling. Batches of 2 on a 4-lane
+    // tile are short tails: every stimulus runs on the scalar module.
     EXPECT_EQ(serve_stats.at("module_loads").asNum(), 1u);
     EXPECT_TRUE(serve_stats.at("modules_from_cache").asBool());
+    EXPECT_EQ(serve_stats.at("scalar_tiles").asNum(), 200u);
+    EXPECT_EQ(serve_stats.at("lane_tiles").asNum(), 0u);
+    EXPECT_EQ(serve_stats.at("padded_lanes").asNum(), 0u);
+}
+
+/** Stats count the tile shapes each run request was cut into. */
+TEST(Serve, StatsCountTileShapes)
+{
+    if (!sim::compiledEngineUnavailableReason().empty())
+        GTEST_SKIP() << sim::compiledEngineUnavailableReason();
+    Context ctx = loweredLoop();
+    sim::SimProgram sp(ctx, ctx.entrypoint());
+
+    serve::ServeOptions opts;
+    opts.engine = sim::Engine::Compiled;
+    opts.laneTile = 4;
+    // Batch 1: one scalar tile. Batch 3: a tail over half the tile,
+    // one padded 4-lane tile. Batch 4: one full tile. Batch 6: one
+    // full tile plus two scalar tiles.
+    const std::vector<std::vector<uint64_t>> batches = {
+        {5}, {1, 2, 3}, {4, 0, 6, 2}, {7, 1, 3, 9, 2, 8}};
+    std::string input;
+    for (const auto &b : batches)
+        input += frame(runRequest(b));
+    input += frame("{\"type\": \"stats\"}");
+    std::istringstream in(input);
+    std::ostringstream out;
+    serve::serve(sp, in, out, opts);
+
+    auto docs = responses(out.str());
+    ASSERT_EQ(docs.size(), batches.size() + 1);
+    for (size_t r = 0; r < batches.size(); ++r) {
+        ASSERT_TRUE(docs[r].at("ok").asBool()) << "request " << r;
+        const auto &lanes = docs[r].at("result").at("lanes").items();
+        ASSERT_EQ(lanes.size(), batches[r].size());
+        for (size_t l = 0; l < lanes.size(); ++l)
+            EXPECT_EQ(lanes[l].at("regs").at("x").asNum(),
+                      3 * batches[r][l])
+                << "request " << r << " lane " << l;
+    }
+    const json::Value &serve_stats =
+        docs[batches.size()].at("result").at("serve");
+    EXPECT_EQ(serve_stats.at("module_loads").asNum(), 2u);
+    EXPECT_EQ(serve_stats.at("scalar_tiles").asNum(), 3u);
+    EXPECT_EQ(serve_stats.at("lane_tiles").asNum(), 3u);
+    EXPECT_EQ(serve_stats.at("padded_lanes").asNum(), 1u);
 }
 
 TEST(Serve, CompileRequestRoundTrip)

@@ -49,8 +49,8 @@
  *     --threads <N>          worker threads: partitioned single-
  *                            stimulus simulation, batched simulation,
  *                            and parallel per-component pass execution
- *     --lane-tile <N>        lanes per tile (fixed compiled lane
- *                            width; default 16)
+ *     --lane-tile <N>        widest compiled tile, in lanes (default
+ *                            16; short batch tails run scalar)
  *     --serve                stimulus-stream service: read
  *                            length-prefixed JSON requests on stdin,
  *                            answer on stdout, keep the JIT module
@@ -147,7 +147,8 @@ usage()
            "  --threads <N>          worker threads: partitioned --sim,\n"
            "                         batch lanes, and per-component\n"
            "                         passes (default 1)\n"
-           "  --lane-tile <N>        lanes per batch tile (default 16)\n"
+           "  --lane-tile <N>        widest compiled tile, in lanes\n"
+           "                         (default 16)\n"
            "  --serve                stimulus-stream service on\n"
            "                         stdin/stdout (length-prefixed JSON)\n"
            "  --trace <file>         simulate, write a VCD trace\n"
