@@ -529,7 +529,17 @@ writeJson(const std::string &path,
     std::ofstream out(path);
     if (!out)
         fatal("cannot write ", path);
-    out << "{\n  \"workloads\": [\n";
+    // The host the rows were measured on: every throughput row and
+    // every skipped multi-core gate depends on it.
+    out << "{\n  \"host\": {\"hardware_threads\": "
+        << std::thread::hardware_concurrency() << ", \"compiler\": \""
+#if defined(__clang__)
+        << "clang "
+#elif defined(__GNUC__)
+        << "gcc "
+#endif
+        << __VERSION__ << "\", \"build_type\": \"" << CALYX_BUILD_TYPE
+        << "\"},\n  \"workloads\": [\n";
     for (size_t i = 0; i < results.size(); ++i) {
         const WorkloadResult &r = results[i];
         char buf[256];

@@ -295,6 +295,12 @@ Profiler::report() const
             json::Value::real(settled ? static_cast<double>(evalsTotal) /
                                             static_cast<double>(settled)
                                       : 0.0));
+    // Static guard sizes: every assignment's SExpr tree against the
+    // hash-consed DAG the levelized engine evaluates.
+    eng.set("guard_tree_nodes",
+            json::Value::number(prog->guardDag().treeNodes));
+    eng.set("guard_dag_nodes",
+            json::Value::number(prog->guardDag().nodes.size()));
     p.set("engine", std::move(eng));
     return p;
 }
@@ -303,7 +309,7 @@ void
 Profiler::printSummary(std::ostream &os) const
 {
     uint64_t cycles = totalCycles ? totalCycles : settled;
-    char buf[160];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "profile: %llu cycles, %.1f%% attributed\n",
                   static_cast<unsigned long long>(cycles),
@@ -355,11 +361,14 @@ Profiler::printSummary(std::ostream &os) const
     if (settled) {
         std::snprintf(buf, sizeof(buf),
                       "  engine: %llu comb evals (max %d/cycle, avg "
-                      "%.1f/cycle)\n",
+                      "%.1f/cycle), guards %llu tree -> %zu dag nodes\n",
                       static_cast<unsigned long long>(evalsTotal),
                       evalsMax,
                       static_cast<double>(evalsTotal) /
-                          static_cast<double>(settled));
+                          static_cast<double>(settled),
+                      static_cast<unsigned long long>(
+                          prog->guardDag().treeNodes),
+                      prog->guardDag().nodes.size());
         os << buf;
     }
 }

@@ -248,7 +248,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
     const size_t K = count;
 
     // Lane-major value planes: lane l owns the contiguous slice
-    // [l*np, (l+1)*np), so SExpr::eval and PrimModel::evalComb run
+    // [l*np, (l+1)*np), so GuardDag::eval and PrimModel::evalComb run
     // verbatim on the lane's base pointer.
     std::vector<uint64_t> vals(size_t(np) * K, 0);
     std::vector<uint64_t> tmp(size_t(np) * K, 0);
@@ -296,18 +296,27 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
         }
     }
 
+    // Guard memos, one per lane (lanes have their own values), and
+    // under the partition runner one such block per worker, since
+    // concurrent tasks evaluate the same lane.
+    const GuardDag &dag = prog->guardDag();
+    std::vector<GuardMemo> memos((runner ? innerPlan->threads : 1) * K,
+                                 GuardMemo(dag.nodes.size()));
+
     // Driver priority mirrors SimState::evalPort: active assignment
     // beats the go force beats model output beats zero. `tmpBlock` is
     // a np*K scratch block for evalComb results — the shared `tmp` on
     // the serial path, a worker-private block under the partition
     // runner (evalComb writes every output of a model, so concurrent
     // tasks sharing one block would race on ports they do not own).
-    auto evalPort = [&](size_t l, uint32_t p, bool check,
-                        uint64_t *tmpBlock) -> uint64_t {
+    // `memoBlock` holds the K lane memos of the same owner.
+    auto evalPort = [&](size_t l, uint32_t p, bool check, bool memoize,
+                        uint64_t *tmpBlock,
+                        GuardMemo *memoBlock) -> uint64_t {
         uint64_t *base = vals.data() + l * np;
         const SAssign *winner = nullptr;
         for (const SAssign *a : P.activeByPort[p]) {
-            if (!a->guard.eval(base))
+            if (!dag.eval(a->guardRoot, base, memoBlock[l], memoize))
                 continue;
             if (winner && check) {
                 fatal("multiple active drivers for port ",
@@ -342,7 +351,8 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                 if (!alive[l])
                     continue;
                 uint64_t *base = vals.data() + l * np;
-                uint64_t nv = evalPort(l, p, true, tmp.data());
+                uint64_t nv =
+                    evalPort(l, p, true, true, tmp.data(), memos.data());
                 if (nv != base[p]) {
                     base[p] = nv;
                     changed = true;
@@ -381,7 +391,8 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                 changed = false;
                 for (uint32_t i = 0; i < node.count; ++i) {
                     uint32_t p = mem[i];
-                    uint64_t nv = evalPort(l, p, false, tmp.data());
+                    uint64_t nv = evalPort(l, p, false, false, tmp.data(),
+                                           memos.data());
                     if (nv != base[p]) {
                         base[p] = nv;
                         memChanged[i] = 1;
@@ -391,7 +402,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             }
             for (uint32_t i = 0; i < node.count; ++i) {
                 // Settled conflict re-check.
-                evalPort(l, mem[i], true, tmp.data());
+                evalPort(l, mem[i], true, false, tmp.data(), memos.data());
             }
         }
         for (uint32_t i = 0; i < node.count; ++i) {
@@ -411,7 +422,8 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
     // schedule re-evaluates every cycle, so the dirty-queue bookkeeping
     // (markDirty fanout marking, the shared memChanged vector) drops
     // out entirely and evalComb scratch comes from the worker's block.
-    auto evalNodeFull = [&](uint32_t ni, uint64_t *tmpBlock) {
+    auto evalNodeFull = [&](uint32_t ni, uint64_t *tmpBlock,
+                            GuardMemo *memoBlock) {
         const SimSchedule::Node &node = sched.nodes()[ni];
         const uint32_t *mem = sched.memberPorts().data() + node.first;
         if (!node.cyclic) {
@@ -419,7 +431,8 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             for (size_t l = 0; l < K; ++l) {
                 if (!alive[l])
                     continue;
-                vals[l * np + p] = evalPort(l, p, true, tmpBlock);
+                vals[l * np + p] =
+                    evalPort(l, p, true, true, tmpBlock, memoBlock);
             }
             return;
         }
@@ -444,7 +457,8 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                 changed = false;
                 for (uint32_t i = 0; i < node.count; ++i) {
                     uint32_t p = mem[i];
-                    uint64_t nv = evalPort(l, p, false, tmpBlock);
+                    uint64_t nv =
+                        evalPort(l, p, false, false, tmpBlock, memoBlock);
                     if (nv != base[p]) {
                         base[p] = nv;
                         changed = true;
@@ -453,7 +467,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             }
             for (uint32_t i = 0; i < node.count; ++i) {
                 // Settled conflict re-check.
-                evalPort(l, mem[i], true, tmpBlock);
+                evalPort(l, mem[i], true, false, tmpBlock, memoBlock);
             }
         }
     };
@@ -473,11 +487,13 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                   " cycles with ", liveCount, " of ", K,
                   " lanes unfinished");
         }
+        for (GuardMemo &m : memos)
+            m.beginCycle();
         if (runner) {
             runner->run([&](uint32_t task, unsigned worker) {
                 uint64_t *blk = wscratch[worker].data();
                 for (uint32_t n : innerPlan->tasks[task].nodes)
-                    evalNodeFull(n, blk);
+                    evalNodeFull(n, blk, memos.data() + worker * K);
             });
         } else {
             while (!queue.empty()) {

@@ -121,39 +121,99 @@ SExpr::evalWith(const uint64_t *vals, uint64_t *stack) const
             --sp;
             stack[sp - 1] = stack[sp - 1] || stack[sp];
             break;
-          default: {
-            uint64_t a = n.aImm ? n.immA : vals[n.a];
-            uint64_t b = n.bImm ? n.immB : vals[n.b];
-            bool v = false;
-            switch (n.op) {
-              case Op::Eq:
-                v = a == b;
-                break;
-              case Op::Neq:
-                v = a != b;
-                break;
-              case Op::Lt:
-                v = a < b;
-                break;
-              case Op::Gt:
-                v = a > b;
-                break;
-              case Op::Leq:
-                v = a <= b;
-                break;
-              case Op::Geq:
-                v = a >= b;
-                break;
-              default:
-                panic("bad SExpr op " +
-                      std::to_string(static_cast<int>(n.op)));
-            }
-            stack[sp++] = v ? 1 : 0;
+          default:
+            stack[sp++] = compare(n, vals) ? 1 : 0;
             break;
-          }
         }
     }
     return stack[0] != 0;
+}
+
+bool
+SExpr::compare(const Node &n, const uint64_t *vals)
+{
+    uint64_t a = n.aImm ? n.immA : vals[n.a];
+    uint64_t b = n.bImm ? n.immB : vals[n.b];
+    switch (n.op) {
+      case Op::Eq:
+        return a == b;
+      case Op::Neq:
+        return a != b;
+      case Op::Lt:
+        return a < b;
+      case Op::Gt:
+        return a > b;
+      case Op::Leq:
+        return a <= b;
+      case Op::Geq:
+        return a >= b;
+      default:
+        panic("bad SExpr op " + std::to_string(static_cast<int>(n.op)));
+    }
+}
+
+bool
+GuardDag::eval(uint32_t root, const uint64_t *vals, GuardMemo &memo,
+               bool memoize) const
+{
+    using Op = SExpr::Op;
+    if (root == alwaysTrue)
+        return true;
+    uint64_t *entry = memo.entry.data();
+    const uint64_t s = memoize ? memo.cycle : ++memo.epoch;
+    auto known = [&](uint32_t id) { return entry[id] >> 1 == s; };
+    if (known(root))
+        return entry[root] & 1;
+
+    // Depth-first over the nodes not yet known under stamp `s`. The
+    // stack holds one root-to-node path, so its depth is bounded by the
+    // guard's height however deep the source tree was.
+    std::vector<uint32_t> &stack = memo.stack;
+    stack.clear();
+    stack.push_back(root);
+    while (!stack.empty()) {
+        uint32_t id = stack.back();
+        const SExpr::Node &n = nodes[id];
+        bool v;
+        switch (n.op) {
+          case Op::True:
+            v = true;
+            break;
+          case Op::Port:
+            v = vals[n.a] & 1;
+            break;
+          case Op::Not:
+            if (!known(n.a)) {
+                stack.push_back(n.a);
+                continue;
+            }
+            v = !(entry[n.a] & 1);
+            break;
+          case Op::And:
+          case Op::Or: {
+            if (!known(n.a)) {
+                stack.push_back(n.a);
+                continue;
+            }
+            v = entry[n.a] & 1;
+            // Short circuit: false && _, true || _.
+            if (v != (n.op == Op::And))
+                break;
+            if (!known(n.b)) {
+                stack.push_back(n.b);
+                continue;
+            }
+            v = entry[n.b] & 1;
+            break;
+          }
+          default:
+            v = SExpr::compare(n, vals);
+            break;
+        }
+        entry[id] = s << 1 | (v ? 1 : 0);
+        stack.pop_back();
+    }
+    return entry[root] & 1;
 }
 
 void
@@ -219,6 +279,68 @@ SimProgram::SimProgram(const Context &ctx, Symbol top)
     rootInst = std::make_unique<Instance>();
     rootInst->path = "";
     buildInstance(*rootInst, ctx.component(top));
+    buildGuardDag();
+}
+
+namespace {
+
+struct NodeHash
+{
+    size_t
+    operator()(const SExpr::Node &n) const
+    {
+        uint64_t h = static_cast<uint64_t>(n.op) |
+                     uint64_t(n.aImm) << 8 | uint64_t(n.bImm) << 9;
+        for (uint64_t x : {uint64_t(n.a), uint64_t(n.b), n.immA, n.immB})
+            h = (h ^ x) * 0x9e3779b97f4a7c15ull;
+        return static_cast<size_t>(h ^ h >> 29);
+    }
+};
+
+} // namespace
+
+void
+SimProgram::buildGuardDag()
+{
+    using Op = SExpr::Op;
+    std::unordered_map<SExpr::Node, uint32_t, NodeHash> ids;
+    std::vector<uint32_t> operands;
+    auto intern = [&](SAssign &a) {
+        dag.treeNodes += a.guard.nodes.size();
+        if (a.guard.nodes.empty())
+            return;
+        // Replay the postorder array with a stack of DAG ids: operators
+        // swap their operand positions for the operands' interned ids.
+        operands.clear();
+        for (SExpr::Node n : a.guard.nodes) {
+            if (n.op == Op::Not) {
+                n.a = operands.back();
+                operands.pop_back();
+            } else if (n.op == Op::And || n.op == Op::Or) {
+                n.b = operands.back();
+                operands.pop_back();
+                n.a = operands.back();
+                operands.pop_back();
+            }
+            auto [it, fresh] =
+                ids.emplace(n, static_cast<uint32_t>(dag.nodes.size()));
+            if (fresh)
+                dag.nodes.push_back(n);
+            operands.push_back(it->second);
+        }
+        a.guardRoot = operands.back();
+    };
+    std::function<void(Instance &)> walk = [&](Instance &inst) {
+        for (SAssign &a : inst.continuous)
+            intern(a);
+        for (auto &vec : inst.groupAssigns) {
+            for (SAssign &a : vec)
+                intern(a);
+        }
+        for (auto &sub : inst.subs)
+            walk(*sub);
+    };
+    walk(*rootInst);
 }
 
 SimProgram::~SimProgram() = default;
@@ -660,6 +782,7 @@ SimState::setThreads(unsigned n)
     partPlan.reset();
     partRunner.reset();
     workerScratch.clear();
+    workerMemo.clear();
     if (compiledInst) {
         // The partitioned and plain generated modules are distinct;
         // drop the bound instance so the next comb() reloads the right
@@ -944,20 +1067,15 @@ SimState::diffForces()
 }
 
 uint64_t
-SimState::evalPort(uint32_t port, bool check_conflicts)
-{
-    return evalPort(port, check_conflicts, tmp.data());
-}
-
-uint64_t
-SimState::evalPort(uint32_t port, bool check_conflicts,
-                   uint64_t *scratch)
+SimState::evalPort(uint32_t port, bool check_conflicts, bool memoize,
+                   uint64_t *scratch, GuardMemo &memo)
 {
     // Driver priority mirrors the Jacobi pass order: active assignment
     // beats force beats model output beats the zero default.
+    const GuardDag &dag = prog->guardDag();
     const SAssign *winner = nullptr;
     for (const SAssign *a : activeByPort[port]) {
-        if (!a->guard.eval(vals.data()))
+        if (!dag.eval(a->guardRoot, vals.data(), memo, memoize))
             continue;
         if (winner && check_conflicts) {
             fatal("multiple active drivers for port ",
@@ -989,7 +1107,7 @@ SimState::evalNode(uint32_t node_index)
 
     if (!node.cyclic) {
         uint32_t p = mem[0];
-        uint64_t nv = evalPort(p, true);
+        uint64_t nv = evalPort(p, true, true, tmp.data(), guardMemo);
         if (nv != vals[p]) {
             vals[p] = nv;
             for (const uint32_t *q = sched->fanoutBegin(p),
@@ -1019,7 +1137,7 @@ SimState::evalNode(uint32_t node_index)
         changed = false;
         for (uint32_t i = 0; i < node.count; ++i) {
             uint32_t p = mem[i];
-            uint64_t nv = evalPort(p, false);
+            uint64_t nv = evalPort(p, false, false, tmp.data(), guardMemo);
             if (nv != vals[p]) {
                 vals[p] = nv;
                 portChanged[p] = 1;
@@ -1030,7 +1148,7 @@ SimState::evalNode(uint32_t node_index)
     // Settled: re-check with conflict detection (values cannot change),
     // then wake external fanouts of members that moved.
     for (uint32_t i = 0; i < node.count; ++i)
-        evalPort(mem[i], true);
+        evalPort(mem[i], true, false, tmp.data(), guardMemo);
     for (uint32_t i = 0; i < node.count; ++i) {
         uint32_t p = mem[i];
         if (!portChanged[p])
@@ -1057,6 +1175,7 @@ SimState::bindSchedule()
     portChanged.assign(prog->numPorts(), 0);
     forcedVal.assign(prog->numPorts(), 0);
     forcedStamp.assign(prog->numPorts(), 0);
+    guardMemo = GuardMemo(prog->guardDag().nodes.size());
     activeByPort.resize(prog->numPorts());
     oldActiveByPort.resize(prog->numPorts());
 }
@@ -1071,6 +1190,8 @@ SimState::ensurePartitioned()
     partRunner = std::make_unique<PartitionRunner>(*partPlan);
     workerScratch.assign(partPlan->threads,
                          std::vector<uint64_t>(prog->numPorts(), 0));
+    workerMemo.assign(partPlan->threads,
+                      GuardMemo(prog->guardDag().nodes.size()));
 }
 
 /**
@@ -1082,14 +1203,15 @@ SimState::ensurePartitioned()
  * what makes partitioned results bit-identical to scalar ones.
  */
 void
-SimState::evalNodeFull(uint32_t node_index, uint64_t *scratch)
+SimState::evalNodeFull(uint32_t node_index, uint64_t *scratch,
+                       GuardMemo &memo)
 {
     const SimSchedule::Node &node = sched->nodes()[node_index];
     const uint32_t *mem = sched->memberPorts().data() + node.first;
 
     if (!node.cyclic) {
         uint32_t p = mem[0];
-        vals[p] = evalPort(p, true, scratch);
+        vals[p] = evalPort(p, true, true, scratch, memo);
         return;
     }
 
@@ -1110,7 +1232,7 @@ SimState::evalNodeFull(uint32_t node_index, uint64_t *scratch)
         changed = false;
         for (uint32_t i = 0; i < node.count; ++i) {
             uint32_t p = mem[i];
-            uint64_t nv = evalPort(p, false, scratch);
+            uint64_t nv = evalPort(p, false, false, scratch, memo);
             if (nv != vals[p]) {
                 vals[p] = nv;
                 changed = true;
@@ -1118,7 +1240,7 @@ SimState::evalNodeFull(uint32_t node_index, uint64_t *scratch)
         }
     }
     for (uint32_t i = 0; i < node.count; ++i)
-        evalPort(mem[i], true, scratch);
+        evalPort(mem[i], true, false, scratch, memo);
 }
 
 int
@@ -1132,6 +1254,8 @@ SimState::combPartitioned()
         forcedVal[port] = value;
         forcedStamp[port] = stamp;
     }
+    for (GuardMemo &m : workerMemo)
+        m.beginCycle();
 
     // The partitioned walk evaluates the full schedule every cycle, so
     // only the per-port active-driver lists need maintaining — no
@@ -1148,9 +1272,12 @@ SimState::combPartitioned()
 
     const PartitionPlan &p = *partPlan;
     partRunner->run([&](uint32_t task, unsigned worker) {
+        // A worker's memo spans every task it runs this cycle: a node
+        // it memoized in one task had settled inputs then, and those
+        // inputs cannot move for the rest of the cycle.
         uint64_t *scratch = workerScratch[worker].data();
         for (uint32_t n : p.tasks[task].nodes)
-            evalNodeFull(n, scratch);
+            evalNodeFull(n, scratch, workerMemo[worker]);
     });
     return static_cast<int>(sched->nodes().size());
 }
@@ -1165,6 +1292,7 @@ SimState::combLevelized()
         forcedVal[port] = value;
         forcedStamp[port] = stamp;
     }
+    guardMemo.beginCycle();
 
     if (!activationValid) {
         markAllDirty();

@@ -34,7 +34,8 @@ class PartitionRunner;
  *  - Levelized: statically scheduled event-driven engine. A port-level
  *    dependency graph over all potential drivers is SCC-condensed and
  *    topologically ordered once per program; each cycle walks only the
- *    dirty cone of that schedule.
+ *    dirty cone of that schedule, evaluating each distinct guard
+ *    subexpression at most once (GuardDag).
  *  - Compiled: verilator-style compiled simulation. The levelized
  *    schedule is code-generated as straight-line C++ (emit/cppsim.h),
  *    built with the host toolchain, and dlopen()ed (sim/compiled.h).
@@ -91,7 +92,12 @@ struct SExpr
         uint32_t a = 0, b = 0;     ///< Port ids for Port/Cmp leaves.
         uint64_t immA = 0, immB = 0;
         bool aImm = false, bImm = false;
+
+        bool operator==(const Node &) const = default;
     };
+
+    /** Value of a comparison leaf (Eq..Geq) over `vals`. */
+    static bool compare(const Node &n, const uint64_t *vals);
 
     std::vector<Node> nodes; ///< Empty means "always true".
 
@@ -117,11 +123,67 @@ struct SExpr
 /** Inline eval stack size; deeper guards use heap scratch. */
 constexpr uint32_t sexprInlineDepth = 64;
 
+/**
+ * One evaluation thread's guard memo over a GuardDag: per node, the
+ * stamp of the evaluation that computed it and its value, packed as
+ * `stamp << 1 | value`. An entry counts only while its stamp matches
+ * the reading evaluation's, so starting a new stamp invalidates the
+ * whole plane in O(1).
+ */
+struct GuardMemo
+{
+    GuardMemo() = default;
+    /** A plane for a DAG of `nodes` nodes, all stale. */
+    explicit GuardMemo(size_t nodes) : entry(nodes, 0) {}
+
+    std::vector<uint64_t> entry;
+    std::vector<uint32_t> stack; ///< Explicit DFS stack: no recursion.
+    uint64_t epoch = 1;          ///< Last stamp issued.
+    uint64_t cycle = 1;          ///< Stamp of this comb()'s memoized reads.
+
+    /** Start a new comb(): everything memoized so far goes stale. */
+    void beginCycle() { cycle = ++epoch; }
+};
+
+/**
+ * Every guard of a SimProgram hash-consed into one DAG. Nodes reuse
+ * SExpr::Node: True/Port/comparison leaves keep their port ids and
+ * immediates, while Not/And/Or hold child node ids in `a` (and `b`).
+ * Nodes are interned in postorder, so a child's id is always below its
+ * parent's. Structurally identical guards, and identical subterms of
+ * different guards, share one node.
+ */
+struct GuardDag
+{
+    /// SAssign::guardRoot of an unguarded assignment.
+    static constexpr uint32_t alwaysTrue = UINT32_MAX;
+
+    std::vector<SExpr::Node> nodes;
+    uint64_t treeNodes = 0; ///< SExpr nodes over all guards (unshared).
+
+    /**
+     * Value of guard `root` over `vals`, computed iteratively with
+     * short-circuit And/Or. With `memoize`, nodes already computed in
+     * this comb() (memo.cycle) are read back instead of re-evaluated,
+     * and new results are kept for later readers. That is sound only
+     * when no input port of the guard can change for the rest of the
+     * comb(), which holds for every acyclic schedule node (see
+     * docs/simulation.md). Without it (SCC members, whose inputs move
+     * mid-fixed-point) the evaluation takes a fresh stamp, so it shares
+     * work only within this one guard and leaves nothing behind that a
+     * memoized read could pick up.
+     */
+    bool eval(uint32_t root, const uint64_t *vals, GuardMemo &memo,
+              bool memoize) const;
+};
+
 /** A compiled assignment. */
 struct SAssign
 {
     uint32_t dst = 0;
     SExpr guard;
+    /// `guard`'s node in SimProgram::guardDag(), or GuardDag::alwaysTrue.
+    uint32_t guardRoot = GuardDag::alwaysTrue;
     bool srcConst = false;
     uint32_t srcPort = 0;
     uint64_t srcValue = 0;
@@ -209,6 +271,11 @@ class SimProgram
         const std::function<void(const SAssign &, bool continuous)> &fn)
         const;
 
+    /** Every assignment's guard, hash-consed (see GuardDag). The
+     * levelized engine evaluates guards here; Jacobi, cppsim, the
+     * profiler and SimSchedule keep reading the SExpr trees. */
+    const GuardDag &guardDag() const { return dag; }
+
     /**
      * The levelized evaluation schedule, built on first use and cached.
      * Construction fatal()s when the program contains an unconditional
@@ -248,8 +315,12 @@ class SimProgram
     SExpr compileGuard(const Instance &inst, const GuardPtr &g);
     uint32_t resolve(const Instance &inst, const PortRef &ref);
 
+    /** Intern every compiled guard into `dag`, setting guardRoot. */
+    void buildGuardDag();
+
     const Context *ctx;
     std::unique_ptr<Instance> rootInst;
+    GuardDag dag;
     std::vector<Symbol> portNames;
     std::unordered_map<Symbol, uint32_t> portIds;
     std::vector<std::unique_ptr<PrimModel>> modelList;
@@ -366,13 +437,14 @@ class SimState
     /** C callback the probed generated module invokes after eval(). */
     static void probeThunk(void *ctx, const uint64_t *vals);
 
-    /** Settled value of one port under driver priority; see evalPort(). */
-    uint64_t evalPort(uint32_t port, bool check_conflicts);
-
-    /** Same, with caller-provided model scratch (partitioned walk:
-     * each worker owns a scratch plane, so evalComb never races). */
-    uint64_t evalPort(uint32_t port, bool check_conflicts,
-                      uint64_t *scratch);
+    /**
+     * Settled value of one port under driver priority. `scratch` and
+     * `memo` belong to the calling walk (the partitioned walk gives
+     * each worker its own, so evalComb and guard memos never race);
+     * `memoize` is false for SCC members (GuardDag::eval).
+     */
+    uint64_t evalPort(uint32_t port, bool check_conflicts, bool memoize,
+                      uint64_t *scratch, GuardMemo &memo);
 
     void markDirty(uint32_t port);
     void markAllDirty();
@@ -383,7 +455,8 @@ class SimState
     /** evalNode without dirty-cone bookkeeping: the partitioned walk
      * evaluates every node each cycle, so fanout marking is dead
      * weight (and would race across workers). */
-    void evalNodeFull(uint32_t node_index, uint64_t *scratch);
+    void evalNodeFull(uint32_t node_index, uint64_t *scratch,
+                      GuardMemo &memo);
 
     const SimProgram *prog;
     Engine engineVal;
@@ -410,8 +483,11 @@ class SimState
 
     std::vector<std::pair<uint32_t, uint64_t>> prevForces;
     std::vector<uint64_t> forcedVal;
-    std::vector<uint32_t> forcedStamp;
-    uint32_t stamp = 0; ///< Incremented every comb().
+    /// 64-bit so a stale entry can never match again: a 32-bit stamp
+    /// wraps after 2^32 comb() calls and would revive an old force.
+    std::vector<uint64_t> forcedStamp;
+    uint64_t stamp = 0; ///< Incremented every comb().
+    GuardMemo guardMemo; ///< The scalar dirty-cone walk's memo plane.
 
     /// Event queue: dirty schedule nodes, popped in topological order.
     std::priority_queue<uint32_t, std::vector<uint32_t>,
@@ -432,6 +508,7 @@ class SimState
     /// One scratch plane (numPorts words) per plan thread; the
     /// levelized partitioned walk hands workers disjoint planes.
     std::vector<std::vector<uint64_t>> workerScratch;
+    std::vector<GuardMemo> workerMemo; ///< One guard memo per thread.
 
     // --- Observability ----------------------------------------------
     std::vector<obs::SimObserver *> observerList;

@@ -14,6 +14,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include "helpers.h"
 #include "ir/builder.h"
 #include "ir/parser.h"
+#include "sim/batch.h"
 #include "sim/compiled.h"
 #include "sim/cycle_sim.h"
 #include "sim/interp.h"
@@ -230,6 +232,152 @@ TEST(EngineEquivalence, GuardedCycleSettlesEverywhere)
         st.comb();
         EXPECT_EQ(st.value(Symbol("w2.out")), 5u) << info.name;
         EXPECT_EQ(st.value(Symbol("w1.out")), 5u) << info.name;
+    }
+}
+
+/**
+ * A guarded SCC whose member guard shares its subterm S with an acyclic
+ * reader downstream, inside a loop whose groups change every cycle:
+ *
+ *   w1.in  = en.out ? i.out                   (feeds the SCC)
+ *   w2.in  = !(z.out == 1) ? w1.out           (SCC edge z.out -> w2.in)
+ *   z.in   = S ? 9, S = (w2.out >= 2) & en.out (SCC edge w2.out -> z.in)
+ *   rv.in  = S ? 100                          (downstream reader of S)
+ *
+ * `en` is driven only by the `bump` group, so the SCC re-settles each
+ * time bump starts, and S moves mid-fixed-point when z.in is visited
+ * before w2.out in the Gauss-Seidel sweep. Member order comes from the
+ * SCC search, so a second copy declares its wires in reverse order.
+ * bump accumulates z + rv into acc0/acc1: four iterations (i = 2..5)
+ * with S true add 4 * 109 = 436, so both end at 436 mod 256 = 180.
+ */
+Context
+sharedGuardSccProgram()
+{
+    Context ctx;
+    auto b = ComponentBuilder::create(ctx, "main");
+    b.reg("i", 8);
+    b.add("addi", 8);
+    b.cell("lt", "std_lt", {8});
+    b.cell("en", "std_wire", {1});
+    b.cell("w1", "std_wire", {8});
+    auto &assigns = b.component().continuousAssignments();
+    GuardPtr en = Guard::fromPort(cellPort("en", "out"));
+    assigns.emplace_back(cellPort("w1", "in"), cellPort("i", "out"), en);
+
+    Group &bump = b.group("bump");
+    bump.add(cellPort("en", "in"), constant(1, 1));
+    for (int c = 0; c < 2; ++c) {
+        std::string k = std::to_string(c);
+        std::string w = "w2_" + k, z = "z_" + k, rv = "rv_" + k;
+        std::vector<std::string> wires = {w, z, rv};
+        if (c)
+            std::reverse(wires.begin(), wires.end());
+        for (const std::string &name : wires)
+            b.cell(name, "std_wire", {8});
+        b.reg("acc" + k, 8);
+        b.add("sum" + k, 8);
+        b.add("step" + k, 8);
+
+        GuardPtr s = Guard::conj(Guard::cmp(Guard::CmpOp::Geq,
+                                            cellPort(w, "out"),
+                                            constant(2, 8)),
+                                 en);
+        assigns.emplace_back(
+            cellPort(w, "in"), cellPort("w1", "out"),
+            Guard::negate(Guard::cmp(Guard::CmpOp::Eq, cellPort(z, "out"),
+                                     constant(1, 8))));
+        assigns.emplace_back(cellPort(z, "in"), constant(9, 8), s);
+        assigns.emplace_back(cellPort(rv, "in"), constant(100, 8), s);
+
+        bump.add(cellPort("sum" + k, "left"), cellPort(z, "out"));
+        bump.add(cellPort("sum" + k, "right"), cellPort(rv, "out"));
+        bump.add(cellPort("step" + k, "left"), cellPort("acc" + k, "out"));
+        bump.add(cellPort("step" + k, "right"), cellPort("sum" + k, "out"));
+        bump.add(cellPort("acc" + k, "in"), cellPort("step" + k, "out"));
+        bump.add(cellPort("acc" + k, "write_en"), constant(1, 1));
+    }
+    bump.add(bump.doneHole(), cellPort("acc0", "done"));
+
+    Group &cond = b.group("cond");
+    cond.add(cellPort("lt", "left"), cellPort("i", "out"));
+    cond.add(cellPort("lt", "right"), constant(6, 8));
+    cond.add(cond.doneHole(), constant(1, 1));
+
+    Group &incr = b.group("incr");
+    incr.add(cellPort("addi", "left"), cellPort("i", "out"));
+    incr.add(cellPort("addi", "right"), constant(1, 8));
+    incr.add(cellPort("i", "in"), cellPort("addi", "out"));
+    incr.add(cellPort("i", "write_en"), constant(1, 1));
+    incr.add(incr.doneHole(), cellPort("i", "done"));
+
+    std::vector<ControlPtr> body;
+    body.push_back(ComponentBuilder::enable("bump"));
+    body.push_back(ComponentBuilder::enable("incr"));
+    b.component().setControl(ComponentBuilder::whileStmt(
+        cellPort("lt", "out"), "cond",
+        ComponentBuilder::seq(std::move(body))));
+    return ctx;
+}
+
+TEST(EngineEquivalence, GuardMemoMatchesJacobiAroundSharedGuardScc)
+{
+    // Control interpreter: a different activation set almost every
+    // cycle, on the scalar and partitioned levelized walks.
+    auto interpret = [](sim::Engine engine, unsigned threads,
+                        uint64_t *cycles) {
+        Context ctx = sharedGuardSccProgram();
+        sim::SimProgram sp(ctx, "main");
+        sim::Interp interp(sp, engine);
+        interp.state().setThreads(threads);
+        *cycles = interp.run();
+        return sim::archState(sp);
+    };
+    uint64_t jacobiCycles = 0;
+    auto jacobi = interpret(sim::Engine::Jacobi, 1, &jacobiCycles);
+    // Registers i, acc0, acc1: S really turns on inside the loop.
+    EXPECT_EQ(jacobi, (std::vector<std::vector<uint64_t>>{{6}, {180}, {180}}));
+    for (unsigned threads : {1u, 2u, 4u}) {
+        uint64_t cycles = 0;
+        auto state = interpret(sim::Engine::Levelized, threads, &cycles);
+        EXPECT_EQ(jacobiCycles, cycles) << "interpreter x" << threads;
+        EXPECT_EQ(jacobi, state) << "interpreter x" << threads;
+    }
+
+    // Lowered: scalar, partitioned and batch lane-tile walks.
+    Context ctx = sharedGuardSccProgram();
+    passes::runPipeline(ctx, "all");
+    auto run = [&](sim::Engine engine, unsigned threads, uint64_t *cycles) {
+        sim::SimProgram sp(ctx, "main");
+        sim::CycleSim cs(sp, engine);
+        cs.state().setThreads(threads);
+        *cycles = cs.run();
+        EXPECT_EQ(*sp.findModel("acc0")->registerValue(), 180u);
+        EXPECT_EQ(*sp.findModel("acc1")->registerValue(), 180u);
+        return sim::archState(sp);
+    };
+    auto lowered = run(sim::Engine::Jacobi, 1, &jacobiCycles);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        uint64_t cycles = 0;
+        auto state = run(sim::Engine::Levelized, threads, &cycles);
+        EXPECT_EQ(jacobiCycles, cycles) << "lowered x" << threads;
+        EXPECT_EQ(lowered, state) << "lowered x" << threads;
+    }
+
+    // No memories, so the flattened arch state is the register slots.
+    std::vector<uint64_t> regs;
+    for (const auto &slot : lowered)
+        regs.push_back(slot.at(0));
+    sim::SimProgram sp(ctx, "main");
+    for (unsigned threads : {1u, 2u}) {
+        sim::BatchOptions opts;
+        opts.engine = sim::Engine::Levelized;
+        opts.threads = threads;
+        auto lanes = sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
+        for (const sim::LaneResult &r : lanes) {
+            EXPECT_EQ(jacobiCycles, r.cycles) << "batch x" << threads;
+            EXPECT_EQ(regs, r.regs) << "batch x" << threads;
+        }
     }
 }
 

@@ -347,6 +347,36 @@ TEST(ObsProfile, SameCountsUnderJacobiAndLevelized)
               profileJson(sim::Engine::Levelized));
 }
 
+TEST(ObsProfile, EngineBlockReportsGuardDagSize)
+{
+    Context ctx = loweredCounterExample();
+    sim::SimProgram sp(ctx, "main");
+    obs::Profiler prof(sp);
+    sim::CycleSim cs(sp);
+    cs.state().addObserver(&prof);
+    cs.run();
+
+    // The engine block carries the same schema obscheck walks.
+    json::Value eng = prof.report().at("engine");
+    eng.at("comb_evals_total").asNum();
+    eng.at("comb_evals_max").asNum();
+    eng.at("comb_evals_avg").asReal();
+    uint64_t tree = eng.at("guard_tree_nodes").asNum();
+    uint64_t dag = eng.at("guard_dag_nodes").asNum();
+    EXPECT_EQ(tree, sp.guardDag().treeNodes);
+    EXPECT_EQ(dag, sp.guardDag().nodes.size());
+    // Lowering repeats each group's FSM condition on all its
+    // assignments, so the DAG is strictly smaller than the trees.
+    EXPECT_GT(dag, 0u);
+    EXPECT_LT(dag, tree);
+
+    std::ostringstream os;
+    prof.printSummary(os);
+    std::string line = "guards " + std::to_string(tree) + " tree -> " +
+                       std::to_string(dag) + " dag nodes";
+    EXPECT_NE(os.str().find(line), std::string::npos) << os.str();
+}
+
 // --- Report envelope & JSON reals ---------------------------------------
 
 TEST(ObsReport, EnvelopeShape)

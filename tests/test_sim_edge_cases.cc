@@ -4,6 +4,7 @@
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
+#include "sim/batch.h"
 #include "sim/env.h"
 #include "support/error.h"
 
@@ -234,7 +235,9 @@ TEST(SimEdge, DeepGuardUsesHeapScratch)
     // A right-leaning conjunction deeper than the inline eval stack
     // (sexprInlineDepth) used to overflow a fixed 64-slot buffer with
     // no bound check; guards now carry their compile-time max depth and
-    // fall back to heap scratch.
+    // fall back to heap scratch. The levelized engine evaluates the same
+    // guard through the guard DAG's explicit stack on every walk:
+    // scalar, partitioned, and the batch lane tile.
     Context ctx;
     Component &comp = ctx.addComponent("main");
     comp.addCell("f", "std_reg", {1}, ctx);
@@ -243,19 +246,103 @@ TEST(SimEdge, DeepGuardUsesHeapScratch)
     GuardPtr chain = leaf;
     for (uint32_t i = 0; i < 2 * sim::sexprInlineDepth; ++i)
         chain = Guard::conj(leaf, chain);
-    comp.continuousAssignments().emplace_back(cellPort("x", "in"),
-                                              constant(7, 8), chain);
+    auto &assigns = comp.continuousAssignments();
+    assigns.emplace_back(cellPort("x", "in"), constant(7, 8), chain);
+    assigns.emplace_back(cellPort("x", "write_en"), constant(1, 1), chain);
+    assigns.emplace_back(thisPort("done"), cellPort("x", "done"));
 
-    for (sim::Engine engine :
-         {sim::Engine::Jacobi, sim::Engine::Levelized}) {
-        sim::SimProgram sp(ctx, "main");
+    sim::SimProgram sp(ctx, "main");
+    const std::pair<sim::Engine, unsigned> runs[] = {
+        {sim::Engine::Jacobi, 1},
+        {sim::Engine::Levelized, 1},
+        {sim::Engine::Levelized, 2},
+    };
+    for (auto [engine, threads] : runs) {
         sim::SimState st(sp, engine);
+        st.setThreads(threads);
         st.reset();
         st.beginCycle();
         st.activate(sp.root().continuous);
         EXPECT_NO_THROW(st.comb());
         // f resets to 0, so every !f.out conjunct is true.
-        EXPECT_EQ(st.value("x.in"), 7u);
+        EXPECT_EQ(st.value("x.in"), 7u)
+            << sim::engineName(engine) << " x" << threads;
+    }
+
+    for (unsigned threads : {1u, 2u}) {
+        sim::BatchOptions opts;
+        opts.engine = sim::Engine::Levelized;
+        opts.threads = threads;
+        auto results =
+            sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
+        ASSERT_EQ(results.size(), 3u);
+        for (const sim::LaneResult &r : results) {
+            // Cycle 1 writes x; x.done raises the top done in cycle 2.
+            EXPECT_EQ(r.cycles, 2u) << "batch x" << threads;
+            EXPECT_EQ(r.regs, (std::vector<uint64_t>{0, 7}))
+                << "batch x" << threads;
+        }
+    }
+}
+
+TEST(SimEdge, GuardDagSharesIdenticalSubterms)
+{
+    // Three guards over one `go & !done` subterm, the third built from
+    // fresh Guard objects: hash-consing gives the subterm one node and
+    // the structurally identical guard the same root.
+    Context ctx;
+    Component &comp = ctx.addComponent("main");
+    comp.addCell("f", "std_reg", {1}, ctx);
+    comp.addCell("h", "std_reg", {1}, ctx);
+    for (const char *w : {"x", "y", "z", "u"})
+        comp.addCell(w, "std_wire", {1}, ctx);
+    auto goNotDone = [] {
+        return Guard::conj(Guard::fromPort(thisPort("go")),
+                           Guard::negate(Guard::fromPort(thisPort("done"))));
+    };
+    GuardPtr sub = goNotDone();
+    GuardPtr f = Guard::fromPort(cellPort("f", "out"));
+    GuardPtr h = Guard::fromPort(cellPort("h", "out"));
+    auto &assigns = comp.continuousAssignments();
+    assigns.emplace_back(cellPort("x", "in"), constant(1, 1),
+                         Guard::conj(sub, f));
+    assigns.emplace_back(cellPort("y", "in"), constant(1, 1),
+                         Guard::disj(sub, h));
+    assigns.emplace_back(cellPort("z", "in"), constant(1, 1), goNotDone());
+    assigns.emplace_back(cellPort("u", "in"), constant(1, 1));
+
+    sim::SimProgram sp(ctx, "main");
+    const sim::GuardDag &dag = sp.guardDag();
+    const auto &cont = sp.root().continuous;
+    ASSERT_EQ(cont.size(), 4u);
+
+    // Trees: 6 + 6 + 4 + 0 nodes. DAG: go, done, !done, go & !done,
+    // f, (..) & f, h, (..) | h.
+    EXPECT_EQ(dag.treeNodes, 16u);
+    EXPECT_EQ(dag.nodes.size(), 8u);
+
+    uint32_t subId = cont[2].guardRoot;
+    ASSERT_LT(subId, dag.nodes.size());
+    EXPECT_EQ(dag.nodes[subId].op, sim::SExpr::Op::And);
+    EXPECT_EQ(dag.nodes[cont[0].guardRoot].a, subId);
+    EXPECT_EQ(dag.nodes[cont[1].guardRoot].a, subId);
+    EXPECT_EQ(cont[3].guardRoot, sim::GuardDag::alwaysTrue);
+
+    // Postorder interning: every child precedes its parent.
+    for (uint32_t id = 0; id < dag.nodes.size(); ++id) {
+        const sim::SExpr::Node &n = dag.nodes[id];
+        switch (n.op) {
+          case sim::SExpr::Op::Not:
+            EXPECT_LT(n.a, id);
+            break;
+          case sim::SExpr::Op::And:
+          case sim::SExpr::Op::Or:
+            EXPECT_LT(n.a, id);
+            EXPECT_LT(n.b, id);
+            break;
+          default:
+            break;
+        }
     }
 }
 

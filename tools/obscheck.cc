@@ -184,6 +184,9 @@ checkProfile(const std::string &path)
     eng.at("comb_evals_total").asNum();
     eng.at("comb_evals_max").asNum();
     eng.at("comb_evals_avg").asReal();
+    uint64_t tree = eng.at("guard_tree_nodes").asNum();
+    if (eng.at("guard_dag_nodes").asNum() > tree)
+        return fail(path + ": guard_dag_nodes exceeds guard_tree_nodes");
     return 0;
 }
 
