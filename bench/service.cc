@@ -1,35 +1,28 @@
 /**
  * @file
- * Compile-service benchmark (ISSUE 9): requests/sec through the
- * content-addressed compile cache on a mutated PolyBench stream, and
- * parallel per-component pass execution against serial. The workload
+ * Compile-service benchmark: requests/sec through the
+ * content-addressed compile cache on a mutated PolyBench stream. The
+ * workload
  * is one multi-component program — several PolyBench kernels compiled
  * from Dahlia, renamed, and invoked from a fresh `main` — mutated per
  * request by editing one kernel's constant, the request shape of
  * generated frontends and compile-in-the-loop tooling.
  *
  * Sections written to BENCH_service.json:
+ *   host         hardware threads, compiler and build type
  *   cold         every request compiles from scratch (cache disabled)
  *   warm         the same variant set revisited: raw-text tier hits
  *   incremental  every request mints a never-seen variant of one
  *                kernel: the per-component tier recompiles only the
  *                edited kernel's dependency cone
- *   parallel     `-p all` wall time, 1 thread vs all hardware threads,
- *                through the pass manager's wavefront dispatch
  *
  * Usage:
  *   bench_service [--small] [--check] [--reps N] [--out FILE]
- *                 [--threads N]
  *     --small    CI smoke configuration (2 kernels, short streams)
  *     --check    exit non-zero unless warm rps >= cold rps, warm is
- *                >= 5x cold, every cached/incremental/parallel
- *                artifact is byte-identical to a cold serial compile,
- *                and (on hosts with >= 2 cores) parallel `-p all` is
- *                >= 1.5x serial on the multi-component workload — the
- *                parallel speedup gate auto-skips on 1-core hosts
+ *                >= 5x cold, and every cached/incremental artifact is
+ *                byte-identical to a cold compile
  *     --reps N   stream length multiplier (default 3)
- *     --threads  worker threads for the parallel section (default:
- *                hardware concurrency)
  *     --out      output path (default BENCH_service.json)
  */
 #include <cstdio>
@@ -37,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/compile_cache.h"
@@ -49,7 +43,6 @@
 #include "passes/pipeline_spec.h"
 #include "support/error.h"
 #include "support/json.h"
-#include "support/pool.h"
 #include "support/time.h"
 #include "workloads/polybench.h"
 
@@ -204,7 +197,6 @@ main(int argc, char **argv)
     bool small = false, check = false;
     int reps = 3;
     std::string out_path = "BENCH_service.json";
-    unsigned threads = WorkPool::defaultThreads();
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--small")) {
             small = true;
@@ -212,14 +204,12 @@ main(int argc, char **argv)
             check = true;
         } else if (!std::strcmp(argv[i], "--reps") && i + 1 < argc) {
             reps = std::atoi(argv[++i]);
-        } else if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-            threads = static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
             out_path = argv[++i];
         } else {
             std::fprintf(stderr,
                          "usage: bench_service [--small] [--check] "
-                         "[--reps N] [--threads N] [--out FILE]\n");
+                         "[--reps N] [--out FILE]\n");
             return 2;
         }
     }
@@ -303,42 +293,27 @@ main(int argc, char **argv)
         cache::CompileService inc_svc((cache::CompileCache::Config()));
         StreamResult inc = runStream(inc_svc, inc_stream, inc_expected);
 
-        // Parallel: `-p all` through the wavefront dispatcher, serial
-        // vs `threads` workers, on the same multi-component program.
-        const std::string &par_src = sources[0];
-        double serial_s = 0, parallel_s = 0;
-        std::string serial_text, parallel_text;
-        for (int r = 0; r < reps; ++r) {
-            {
-                Context ctx = Parser::parseProgram(par_src);
-                double t0 = nowSeconds();
-                passes::runPipeline(ctx, kPipeline);
-                serial_s += nowSeconds() - t0;
-                serial_text = Printer::toString(ctx);
-            }
-            {
-                Context ctx = Parser::parseProgram(par_src);
-                passes::RunOptions opts;
-                opts.threads = threads;
-                double t0 = nowSeconds();
-                passes::runPipeline(ctx, kPipeline, opts);
-                parallel_s += nowSeconds() - t0;
-                parallel_text = Printer::toString(ctx);
-            }
-        }
-        bool parallel_identical = serial_text == parallel_text;
-        double parallel_speedup =
-            parallel_s > 0 ? serial_s / parallel_s : 0;
-        unsigned hw = WorkPool::defaultThreads();
-
         std::fprintf(stderr,
                      "bench_service: cold %.0f rps, warm %.0f rps "
-                     "(%.1fx), incremental %.0f rps, parallel %ut "
-                     "%.2fx\n",
+                     "(%.1fx), incremental %.0f rps\n",
                      cold.rps(), warm.rps(),
                      cold.rps() > 0 ? warm.rps() / cold.rps() : 0,
-                     inc.rps(), threads, parallel_speedup);
+                     inc.rps());
 
+        // The host the rows were measured on, in the same shape
+        // bench_sim_engines writes.
+        json::Value host = json::Value::object();
+        host.set("hardware_threads",
+                 json::Value::number(std::thread::hardware_concurrency()));
+        host.set("compiler", json::Value::str(
+#if defined(__clang__)
+                                 std::string("clang ") +
+#elif defined(__GNUC__)
+                                 std::string("gcc ") +
+#endif
+                                 __VERSION__));
+        host.set("build_type", json::Value::str(CALYX_BUILD_TYPE));
+        doc.set("host", std::move(host));
         doc.set("version", json::Value::number(1u));
         doc.set("pipeline", json::Value::str(
                                 cache::normalizePipelineSpec(kPipeline)));
@@ -352,21 +327,6 @@ main(int argc, char **argv)
         streams.push(streamJson("warm", warm));
         streams.push(streamJson("incremental", inc));
         doc.set("streams", std::move(streams));
-        json::Value par = json::Value::object();
-        par.set("threads", json::Value::number(threads));
-        par.set("hardware_threads", json::Value::number(hw));
-        par.set("serial_micros",
-                json::Value::number(
-                    static_cast<uint64_t>(serial_s * 1e6 + 0.5)));
-        par.set("parallel_micros",
-                json::Value::number(
-                    static_cast<uint64_t>(parallel_s * 1e6 + 0.5)));
-        par.set("speedup_x100",
-                json::Value::number(static_cast<uint64_t>(
-                    parallel_speedup * 100 + 0.5)));
-        par.set("artifacts_identical",
-                json::Value::boolean(parallel_identical));
-        doc.set("parallel", std::move(par));
 
         if (check) {
             auto gate = [&ok](bool cond, const char *what) {
@@ -379,23 +339,12 @@ main(int argc, char **argv)
             gate(cold.artifactsIdentical && warm.artifactsIdentical &&
                      inc.artifactsIdentical,
                  "cached artifacts byte-identical to cold compiles");
-            gate(parallel_identical,
-                 "parallel -p all byte-identical to serial");
             gate(warm.rps() >= cold.rps(),
                  "warm throughput >= cold throughput");
             gate(warm.rps() >= 5 * cold.rps(),
                  "warm throughput >= 5x cold throughput");
             gate(inc.componentsFromCache > 0,
                  "incremental stream reuses cached components");
-            if (hw >= 2 && threads >= 2) {
-                gate(parallel_speedup >= 1.5,
-                     "parallel -p all >= 1.5x serial");
-            } else {
-                std::fprintf(stderr,
-                             "bench_service: %u hardware thread(s); "
-                             "skipping the parallel speedup gate\n",
-                             hw);
-            }
         }
     } catch (const Error &e) {
         std::fprintf(stderr, "bench_service: %s\n", e.what());

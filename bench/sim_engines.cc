@@ -29,12 +29,6 @@
  * count (see benchBatched), written as the per-workload "batched"
  * rows in BENCH_sim.json.
  *
- * Partitioned single-stimulus scaling (sim/partition.h,
- * SimState::setThreads) is measured on the systolic 4/16/32 dims at
- * threads 1/2/4 (benchPartitioned), written as the "partitioned" rows;
- * --check holds compiled 4-thread systolic_16x16 to >= 1.5x its
- * single-thread row on hosts with >= 4 cores (checkPartitioned).
- *
  * Usage:
  *   bench_sim_engines [--small] [--check] [--reps N] [--out FILE]
  *                     [--max-dim N] [--baseline FILE]
@@ -113,25 +107,6 @@ struct EngineRun
     }
 };
 
-/** One partitioned single-stimulus measurement (sim/partition.h):
- * cycles/sec for one (engine, thread count) cell with the macro-task
- * plan active, best-of-reps like EngineRun. The threads-1 row runs the
- * classic scalar path and anchors the scaling comparison. */
-struct PartRow
-{
-    std::string engine;
-    unsigned threads = 1;
-    int reps = 0;
-    uint64_t cycles = 0;
-    double best = 0; ///< Fastest single repetition, seconds.
-
-    double
-    cps() const
-    {
-        return best > 0 ? static_cast<double>(cycles) / best : 0.0;
-    }
-};
-
 /** One batched-throughput measurement: stimuli/sec for one (engine,
  * batch size, thread count) cell, best-of-reps like EngineRun. */
 struct BatchRow
@@ -157,18 +132,6 @@ struct WorkloadResult
     std::vector<EngineRun> runs; ///< Indexed like sim::engineInfos().
     EngineRun observed; ///< Levelized with a no-op observer attached.
     std::vector<BatchRow> batched; ///< sim/batch.h throughput rows.
-    std::vector<PartRow> partitioned; ///< sim/partition.h scaling rows.
-
-    /** cycles/sec of the partitioned (engine, threads) row, or 0. */
-    double
-    partCps(const std::string &engine, unsigned threads) const
-    {
-        for (const PartRow &row : partitioned) {
-            if (row.engine == engine && row.threads == threads)
-                return row.cps();
-        }
-        return 0.0;
-    }
 
     /** stimuli/sec of the (engine, batch, threads) row, or 0. */
     double
@@ -385,59 +348,6 @@ benchBatched(WorkloadResult &r, sim::SimProgram &sp,
     }
 }
 
-/**
- * Partitioned single-stimulus scaling rows (sim/partition.h): one run
- * per (engine, thread count) with SimState::setThreads() active, for
- * threads 1/2/4 capped at the host's concurrency. Cycle counts are held
- * to the workload's agreed count — the rows double as a bit-identity
- * smoke for the partitioned path. The --check gate over these rows is
- * checkPartitioned().
- */
-void
-benchPartitioned(WorkloadResult &r, sim::SimProgram &sp,
-                 const std::function<void()> &seed, int reps,
-                 const std::function<bool(sim::Engine)> &skip)
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    for (sim::Engine e : {sim::Engine::Levelized, sim::Engine::Compiled}) {
-        if (skip(e))
-            continue;
-        for (unsigned th : {1u, 2u, 4u}) {
-            if (th > 1 && th > hw)
-                continue;
-            PartRow row;
-            row.engine = sim::engineName(e);
-            row.threads = th;
-            row.reps = reps;
-
-            // Untimed warmup: partition plan build, (compiled) the
-            // partitioned module's JIT, pool spin-up — plus the
-            // identity check against the engines' agreed cycle count.
-            seed();
-            sim::CycleSim warm(sp, e);
-            warm.state().setThreads(th);
-            row.cycles = warm.run();
-            if (r.cycles != 0 && row.cycles != r.cycles) {
-                fatal(r.name, ": partitioned cycle mismatch (",
-                      row.engine, " x", th, "=", row.cycles,
-                      ", expected ", r.cycles, ")");
-            }
-
-            for (int i = 0; i < reps; ++i) {
-                seed();
-                sim::CycleSim cs(sp, e);
-                cs.state().setThreads(th);
-                double start = now();
-                cs.run();
-                double dt = now() - start;
-                if (row.best == 0 || dt < row.best)
-                    row.best = dt;
-            }
-            r.partitioned.push_back(std::move(row));
-        }
-    }
-}
-
 WorkloadResult
 benchSystolic(int dim, int reps, const std::function<bool(sim::Engine)> &skip)
 {
@@ -482,12 +392,6 @@ benchSystolic(int dim, int reps, const std::function<bool(sim::Engine)> &skip)
             stim.mems.emplace_back(systolic::topMemName(i), std::move(t));
         }
         benchBatched(r, sp, stim, reps, skip_dim);
-    }
-    // Partitioned scaling rows on the gate dims (16/32) and on the
-    // small-mode 4x4 so the CI smoke exercises the partitioned path.
-    if (dim == 4 || dim == 16 || dim == 32) {
-        benchPartitioned(r, sp, seed, dim >= singleRepDim ? 1 : reps,
-                         skip_dim);
     }
     return r;
 }
@@ -588,21 +492,6 @@ writeJson(const std::string &path,
                     row.engine.c_str(), row.batchSize, row.threads,
                     row.laneTile, row.reps, row.best, row.stimPerSec(),
                     b + 1 < r.batched.size() ? "," : "");
-                out << buf;
-            }
-            out << "     ],\n";
-        }
-        if (!r.partitioned.empty()) {
-            out << "     \"partitioned\": [\n";
-            for (size_t p = 0; p < r.partitioned.size(); ++p) {
-                const PartRow &row = r.partitioned[p];
-                std::snprintf(
-                    buf, sizeof buf,
-                    "       {\"engine\": \"%s\", \"threads\": %u, "
-                    "\"reps\": %d, \"best_seconds\": %.6f, "
-                    "\"cycles_per_sec\": %.0f}%s\n",
-                    row.engine.c_str(), row.threads, row.reps, row.best,
-                    row.cps(), p + 1 < r.partitioned.size() ? "," : "");
                 out << buf;
             }
             out << "     ],\n";
@@ -728,43 +617,6 @@ checkBatched(const std::vector<WorkloadResult> &results)
     return failures;
 }
 
-/**
- * --check gate on the partitioned single-stimulus rows: on
- * systolic_16x16 the compiled engine at 4 threads must deliver >= 1.5x
- * the cycles/sec of its single-thread row. Auto-skipped (with a note)
- * on hosts with fewer than 4 cores, where the 4-thread row either does
- * not exist or times oversubscribed spinning rather than scaling; also
- * vacuous when the workload or the compiled engine did not run (--small
- * stops at 4x4, toolchain-free hosts skip compiled).
- */
-int
-checkPartitioned(const std::vector<WorkloadResult> &results)
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw < 4) {
-        std::printf("note: host has %u core(s); partitioned-scaling "
-                    "gate needs 4, skipped\n",
-                    hw);
-        return 0;
-    }
-    int failures = 0;
-    for (const WorkloadResult &r : results) {
-        if (r.name != "systolic_16x16")
-            continue;
-        double t1 = r.partCps("compiled", 1);
-        double t4 = r.partCps("compiled", 4);
-        if (t1 > 0 && t4 > 0 && t4 < 1.5 * t1) {
-            std::fprintf(stderr,
-                         "FAIL systolic_16x16: compiled partitioned "
-                         "4-thread %.0f c/s is under 1.5x single-thread "
-                         "%.0f c/s\n",
-                         t4, t1);
-            ++failures;
-        }
-    }
-    return failures;
-}
-
 /** Geomean of per-workload speedups, over workloads where both ran. */
 double
 geomean(const std::vector<WorkloadResult> &results, size_t num, size_t den)
@@ -875,12 +727,6 @@ main(int argc, char **argv)
                         row.threads == 1 ? " " : "s", row.laneTile,
                         row.stimPerSec());
         }
-        for (const auto &row : r.partitioned) {
-            std::printf("  partitioned %-9s x%u thread%s: "
-                        "%12.0f cycles/s\n",
-                        row.engine.c_str(), row.threads,
-                        row.threads == 1 ? " " : "s", row.cps());
-        }
         double cl = r.speedup(comp, lev);
         if (cl > 0 && cl < 1.0)
             regression = true;
@@ -929,7 +775,6 @@ main(int argc, char **argv)
             ++failures;
         }
         failures += checkBatched(results);
-        failures += checkPartitioned(results);
     }
     return failures > 0 ? 1 : 0;
 }

@@ -51,6 +51,16 @@ else
     echo "ok   futil -b nonsense fails hard"
 fi
 
+# --threads spreads batch tiles only; alone it is a usage error.
+"$futil" --sim --threads 2 examples/counter.futil > /dev/null 2>&1
+status=$?
+if [ $status -ne 2 ]; then
+    echo "FAIL: futil --sim --threads 2 exited $status, want 2" >&2
+    failures=$((failures + 1))
+else
+    echo "ok   futil --threads without --batch/--serve is rejected"
+fi
+
 if [ $failures -ne 0 ]; then
     echo "backend_smoke: $failures failure(s)" >&2
     exit 1

@@ -348,7 +348,6 @@ CompileService::compile(const CompileRequest &req)
         }
         Context sub_ctx = Parser::parseProgram(sub.str());
         passes::RunOptions run_opts;
-        run_opts.threads = req.threads;
         run_opts.verify = req.verify;
         res.passInfos =
             passes::runPipeline(sub_ctx, res.pipeline, run_opts);

@@ -144,9 +144,6 @@ struct CompileRequest
     std::string source;
     std::string pipeline = "default";
     std::string backend = "calyx";
-    /** Worker threads for per-component pass execution
-     * (passes/pass_manager.h wavefront dispatch). */
-    unsigned threads = 1;
     /** Run the well-formed checker between passes. */
     bool verify = false;
 };

@@ -9,7 +9,6 @@
 
 #include "ir/primitives.h"
 #include "sim/env.h"
-#include "sim/partition.h"
 #include "sim/schedule.h"
 #include "support/bits.h"
 #include "support/error.h"
@@ -81,31 +80,6 @@ struct Codegen
     std::unordered_map<const SAssign *, uint32_t> guardIdOf;
     std::vector<const SExpr *> guardPool;
     std::vector<uint32_t> guardHome;
-
-    /// Partitioned module (CppSimOptions::partitions > 1): schedule
-    /// node → macro-task, and the task whose statements are currently
-    /// being emitted. Each partition gets private guard-pool entries
-    /// and a private error slot, so concurrent evals share nothing.
-    bool parted = false;
-    std::vector<uint32_t> taskOf;
-    uint32_t curPart = 0;
-
-    /// Sticky-error slot for the statement being emitted: the current
-    /// partition's private slot in a partitioned module (clock code
-    /// runs sequentially and uses slot 0), the single `err` otherwise.
-    std::string errRef() const
-    {
-        if (parted)
-            return "s->perr[" + std::to_string(curPart) + "]";
-        return "s->err";
-    }
-
-    std::string errbufRef() const
-    {
-        if (parted)
-            return "s->errbuf[" + std::to_string(curPart) + "]";
-        return "s->errbuf";
-    }
 
     int numRegs = 0, numMems = 0;
 
@@ -743,13 +717,6 @@ buildGuardPool(Codegen &cg)
             if (a->guard.nodes.size() <= guardInlineNodes)
                 continue;
             std::string key = guardExpr(cg, a->guard);
-            // Partitioned modules scope pool entries to one partition:
-            // readers in different partitions run concurrently, so a
-            // shared slot's home-write would race. Within a partition
-            // the home (first reader in ascending node order, which is
-            // task execution order) still settles before every reuse.
-            if (cg.parted)
-                key = std::to_string(cg.taskOf[ni]) + "|" + key;
             auto [it, fresh] = by_text.emplace(
                 key, static_cast<uint32_t>(cg.guardPool.size()));
             if (fresh) {
@@ -805,9 +772,8 @@ nodeStmt(const Codegen &cg, const SimSchedule::Node &node,
     s += "    bool ch = true;\n    int it = 0;\n";
     s += "    while (ch) {\n";
     s += "      if (++it > kMaxIters) {\n";
-    s += "        " + cg.errRef() +
-         " = \"combinational cycle did not settle after 256 "
-         "iterations; ports on the cycle: " +
+    s += "        s->err = \"combinational cycle did not settle after "
+         "256 iterations; ports on the cycle: " +
          escapeLit(ports) + "\";\n        return;\n      }\n";
     s += "      ch = false;\n";
     for (uint32_t i = 0; i < node.count; ++i) {
@@ -863,14 +829,12 @@ clockStmt(const Codegen &cg, const Prim &p, bool *fusable = nullptr)
         s += "    uint64_t a = " + memAddrExpr(cg, p, "addr0", "addr1") +
              ";\n";
         s += "    if (a >= " + size + ") {\n";
-        s += "      snprintf(" + cg.errbufRef() + ", sizeof " +
-             cg.errbufRef() + ", \"memory " +
+        s += "      snprintf(s->errbuf, sizeof s->errbuf, \"memory " +
              escapeLit(p.cell->name().str()) +
              ": write to out-of-bounds address %llu (size " +
              std::to_string(p.memSize) +
              ")\", (unsigned long long)a);\n"
-             "      " + cg.errRef() + " = " + cg.errbufRef() +
-             ";\n      return;\n    }\n";
+             "      s->err = s->errbuf;\n      return;\n    }\n";
         s += "    " + cg.memRef(p, "a") + " = " +
              trunc(cg.val(cg.pid(p, "write_data")), w(0)) + ";\n";
         s += "    " + cg.mdoneRef(p.mem) + " = 1;\n  } else " +
@@ -1094,8 +1058,7 @@ chunkDecls(const std::string &stem, size_t count, bool restrict_args)
 }
 
 void
-emitDispatcher(std::ostream &os, const std::string &stem, size_t count,
-               const std::string &errRef = "s->err")
+emitDispatcher(std::ostream &os, const std::string &stem, size_t count)
 {
     os << "static void cppsim_" << stem
        << "_all(CppsimInst *s, uint64_t *vals) {\n";
@@ -1103,7 +1066,7 @@ emitDispatcher(std::ostream &os, const std::string &stem, size_t count,
         os << "  (void)s; (void)vals;\n";
     for (size_t c = 0; c < count; ++c) {
         os << "  cppsim_" << stem << "_chunk" << c << "(s, vals);\n";
-        os << "  if (" << errRef << ") return;\n";
+        os << "  if (s->err) return;\n";
     }
     os << "}\n";
 }
@@ -1121,18 +1084,6 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
         fatal("cppsim: probe observers are single-stimulus; a lane "
               "module (lanes=", opts.lanes,
               ") cannot carry one (see docs/simulation.md)");
-    }
-    if (opts.probe && opts.partitions > 1) {
-        fatal("cppsim: a partitioned module (partitions=",
-              opts.partitions,
-              ") cannot carry a probe; partitioned runs notify "
-              "observers host-side after the partitions join (see "
-              "docs/simulation.md)");
-    }
-    if (opts.lanes > 1 && opts.partitions > 1) {
-        fatal("cppsim: a lane module (lanes=", opts.lanes,
-              ") cannot be partitioned; batched runs spread their tiles "
-              "over threads instead (see docs/simulation.md)");
     }
 
     Codegen cg(prog);
@@ -1152,54 +1103,20 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
             cg.computed[p] = 1;
     }
     foldConstants(cg);
-
-    // Macro-task partition (the host rebuilds the same plan shape from
-    // the emitted dependency tables). Built before the guard pool so
-    // pool entries can be scoped per partition.
-    sim::PartitionPlan plan;
-    if (opts.partitions > 1) {
-        plan = sim::buildPartitionPlan(prog, cg.sched, opts.partitions,
-                                       1);
-        if (plan.tasks.empty())
-            plan.tasks.emplace_back(); // degenerate empty schedule
-        cg.parted = true;
-        cg.taskOf = plan.taskOfNode;
-    }
-    const size_t nTasks = plan.tasks.size();
-
     buildGuardPool(cg);
 
     // Statement lists come first: the prologue declares every chunk
     // function, so their count must be known before anything is
     // written. eval walks the whole netlist in topological schedule
-    // order — grouped per macro-task for a partitioned module, whose
-    // in-order task concatenation is that same walk; clock visits
-    // every stateful primitive in model order (always sequential, so
-    // its errors use partition slot 0).
+    // order; clock visits every stateful primitive in model order.
     std::vector<std::string> evalStmts;
     std::vector<char> evalFusable;
-    std::vector<std::vector<std::string>> partFns(nTasks);
-    if (cg.parted) {
-        for (uint32_t t = 0; t < nTasks; ++t) {
-            cg.curPart = t;
-            std::vector<std::string> stmts;
-            for (uint32_t n : plan.tasks[t].nodes) {
-                std::string s = nodeStmt(cg, cg.sched.nodes()[n]);
-                if (!s.empty())
-                    stmts.push_back(std::move(s));
-            }
-            partFns[t] = buildChunks("evalp" + std::to_string(t), stmts,
-                                     cppsimChunkStatements, false);
-        }
-        cg.curPart = 0;
-    } else {
-        for (const SimSchedule::Node &node : cg.sched.nodes()) {
-            bool fus = false;
-            std::string s = nodeStmt(cg, node, &fus);
-            if (!s.empty()) {
-                evalStmts.push_back(std::move(s));
-                evalFusable.push_back(fus);
-            }
+    for (const SimSchedule::Node &node : cg.sched.nodes()) {
+        bool fus = false;
+        std::string s = nodeStmt(cg, node, &fus);
+        if (!s.empty()) {
+            evalStmts.push_back(std::move(s));
+            evalFusable.push_back(fus);
         }
     }
     std::vector<std::string> clockStmts;
@@ -1213,14 +1130,11 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
         }
     }
     if (cg.L > 1) {
-        if (!cg.parted)
-            evalStmts = wrapLaneLoops(std::move(evalStmts), evalFusable);
+        evalStmts = wrapLaneLoops(std::move(evalStmts), evalFusable);
         clockStmts = wrapLaneLoops(std::move(clockStmts), clockFusable);
     }
-    std::vector<std::string> evalFns;
-    if (!cg.parted)
-        evalFns =
-            buildChunks("eval", evalStmts, cppsimChunkStatements, cg.L > 1);
+    std::vector<std::string> evalFns =
+        buildChunks("eval", evalStmts, cppsimChunkStatements, cg.L > 1);
     std::vector<std::string> clkFns =
         buildChunks("clk", clockStmts, cppsimChunkStatements, cg.L > 1);
 
@@ -1253,8 +1167,6 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
     os << "constexpr int kMaxIters = " << sim::maxCombPasses << ";\n";
     if (cg.L > 1)
         os << "constexpr uint32_t kLanes = " << cg.L << ";\n";
-    if (cg.parted)
-        os << "constexpr uint32_t kNumParts = " << nTasks << ";\n";
     os << "\n";
 
     os << "struct CppsimInst {\n";
@@ -1277,15 +1189,7 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
               "// guard pool\n";
     }
     os << stateMembers(cg);
-    if (cg.parted) {
-        // One sticky-error slot per partition: concurrent partition
-        // evals may each fail, and a shared slot would be a data race.
-        // The host aggregates via cppsim_error() after the join.
-        os << "  const char *perr[kNumParts];\n"
-              "  char errbuf[kNumParts][192];\n";
-    } else {
-        os << "  const char *err;\n  char errbuf[192];\n";
-    }
+    os << "  const char *err;\n  char errbuf[192];\n";
     if (opts.probe) {
         os << "  void (*probe)(void *, const uint64_t *);\n"
               "  void *probeCtx;\n";
@@ -1296,28 +1200,12 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
         os << "uint64_t cppsim_isqrt(uint64_t v);\n"
               "int64_t cppsim_bits_needed(uint64_t v);\n";
     }
-    if (cg.parted) {
-        for (size_t t = 0; t < nTasks; ++t)
-            os << chunkDecls("evalp" + std::to_string(t),
-                             partFns[t].size(), false);
-    } else {
-        os << chunkDecls("eval", evalFns.size(), cg.L > 1);
-    }
+    os << chunkDecls("eval", evalFns.size(), cg.L > 1);
     os << chunkDecls("clk", clkFns.size(), cg.L > 1);
 
     // --- Shards: one chunk function per marker-delimited segment.
-    // Partitioned modules emit task by task, so the driver's shard
-    // split keeps each partition's chunks contiguous and the parallel
-    // JIT build works on roughly the same units the runtime dispatches.
-    if (cg.parted) {
-        for (const auto &fns : partFns) {
-            for (const std::string &fn : fns)
-                os << cppsimShardMarker << "\n" << fn;
-        }
-    } else {
-        for (const std::string &fn : evalFns)
-            os << cppsimShardMarker << "\n" << fn;
-    }
+    for (const std::string &fn : evalFns)
+        os << cppsimShardMarker << "\n" << fn;
     for (const std::string &fn : clkFns)
         os << cppsimShardMarker << "\n" << fn;
 
@@ -1358,54 +1246,9 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
         os << "};\n\n";
     }
 
-    if (cg.parted) {
-        for (size_t t = 0; t < nTasks; ++t)
-            emitDispatcher(os, "evalp" + std::to_string(t),
-                           partFns[t].size(),
-                           "s->perr[" + std::to_string(t) + "]");
-        emitDispatcher(os, "clk", clkFns.size(), "s->perr[0]");
-        os << "\n";
-        os << "void (*const kPartFns[kNumParts])"
-              "(CppsimInst *, uint64_t *) = {\n";
-        for (size_t t = 0; t < nTasks; ++t)
-            os << "  cppsim_evalp" << t << "_all,\n";
-        os << "};\n\n";
-
-        // The static execution plan: dependency CSR + per-task cost,
-        // re-read by the host (CompiledModule::partitionPlan) into the
-        // same PartitionPlan shape the levelized engine builds.
-        os << "const uint32_t kPartDepOff[kNumParts + 1] = {";
-        size_t off = 0;
-        for (size_t t = 0; t < nTasks; ++t) {
-            os << off << ", ";
-            off += plan.tasks[t].deps.size();
-        }
-        os << off << "};\n";
-        os << "const uint32_t kPartDeps[" << (off ? off : 1) << "] = {";
-        bool first = true;
-        for (const auto &task : plan.tasks) {
-            for (uint32_t d : task.deps) {
-                os << (first ? "" : ", ") << d;
-                first = false;
-            }
-        }
-        if (first)
-            os << "0";
-        os << "};\n";
-        os << "const uint64_t kPartCosts[kNumParts] = {";
-        for (size_t t = 0; t < nTasks; ++t)
-            os << (t ? ", " : "") << plan.tasks[t].cost << "ull";
-        os << "};\n\n";
-
-        os << "const char *cppsim_err_any(CppsimInst *s) {\n"
-              "  for (uint32_t t = 0; t < kNumParts; ++t)\n"
-              "    if (s->perr[t]) return s->perr[t];\n"
-              "  return nullptr;\n}\n\n";
-    } else {
-        emitDispatcher(os, "eval", evalFns.size());
-        emitDispatcher(os, "clk", clkFns.size());
-        os << "\n";
-    }
+    emitDispatcher(os, "eval", evalFns.size());
+    emitDispatcher(os, "clk", clkFns.size());
+    os << "\n";
 
     os << "void cppsim_do_reset(CppsimInst *s, uint64_t *vals) {\n";
     os << "  uint64_t *regs[kNumRegs ? kNumRegs : 1];\n";
@@ -1452,18 +1295,6 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
         // absence as lanes == 1.
         os << "uint32_t cppsim_num_lanes() { return kLanes; }\n";
     }
-    if (cg.parted) {
-        // Same pattern for partition support: plain modules omit every
-        // partition symbol, and the loader treats absence as a single
-        // implicit partition.
-        os << "uint32_t cppsim_num_partitions() { return kNumParts; }\n";
-        os << "const uint32_t *cppsim_part_dep_offsets() "
-              "{ return kPartDepOff; }\n";
-        os << "const uint32_t *cppsim_part_deps() "
-              "{ return kPartDeps; }\n";
-        os << "const uint64_t *cppsim_part_costs() "
-              "{ return kPartCosts; }\n";
-    }
     os << "uint32_t cppsim_num_regs() { return kNumRegs; }\n";
     os << "uint32_t cppsim_num_mems() { return kNumMems; }\n";
     os << "uint64_t cppsim_mem_size(uint32_t i) {\n";
@@ -1494,42 +1325,16 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
               "  if (s->err) return;\n"
               "  cppsim_eval_all(s, vals);\n"
               "  if (!s->err && s->probe) s->probe(s->probeCtx, vals);\n}\n";
-    } else if (cg.parted) {
-        // The in-order loop over every task is exactly the classic
-        // full-schedule walk — the plan-free host entry point. The
-        // per-task entry checks only its *own* error slot: peeking at
-        // another partition's slot mid-run would itself be a race.
-        os << "void cppsim_eval(void *vs, uint64_t *vals) {\n"
-              "  CppsimInst *s = (CppsimInst *)vs;\n"
-              "  if (cppsim_err_any(s)) return;\n"
-              "  for (uint32_t t = 0; t < kNumParts; ++t) {\n"
-              "    kPartFns[t](s, vals);\n"
-              "    if (s->perr[t]) return;\n"
-              "  }\n}\n";
-        os << "void cppsim_eval_partition(void *vs, uint64_t *vals, "
-              "uint32_t i) {\n"
-              "  CppsimInst *s = (CppsimInst *)vs;\n"
-              "  if (i >= kNumParts || s->perr[i]) return;\n"
-              "  kPartFns[i](s, vals);\n}\n";
     } else {
         os << "void cppsim_eval(void *s, uint64_t *vals) {\n"
               "  if (((CppsimInst *)s)->err) return;\n"
               "  cppsim_eval_all((CppsimInst *)s, vals);\n}\n";
     }
-    if (cg.parted) {
-        os << "void cppsim_clock(void *vs, uint64_t *vals) {\n"
-              "  CppsimInst *s = (CppsimInst *)vs;\n"
-              "  if (cppsim_err_any(s)) return;\n"
-              "  cppsim_clk_all(s, vals);\n}\n";
-        os << "const char *cppsim_error(void *s) { "
-              "return cppsim_err_any((CppsimInst *)s); }\n";
-    } else {
-        os << "void cppsim_clock(void *s, uint64_t *vals) {\n"
-              "  if (((CppsimInst *)s)->err) return;\n"
-              "  cppsim_clk_all((CppsimInst *)s, vals);\n}\n";
-        os << "const char *cppsim_error(void *s) { "
-              "return ((CppsimInst *)s)->err; }\n";
-    }
+    os << "void cppsim_clock(void *s, uint64_t *vals) {\n"
+          "  if (((CppsimInst *)s)->err) return;\n"
+          "  cppsim_clk_all((CppsimInst *)s, vals);\n}\n";
+    os << "const char *cppsim_error(void *s) { "
+          "return ((CppsimInst *)s)->err; }\n";
     os << "} // extern \"C\"\n";
 }
 

@@ -37,7 +37,11 @@ class CppSimBackend : public Backend
     void emit(const Context &ctx, std::ostream &os) const override;
 };
 
-/** Codegen knobs for emitCppSim. */
+/**
+ * Codegen knobs for emitCppSim. Three module shapes come out of it:
+ * the scalar module (the defaults), its probed variant, and lane
+ * modules. Each is its own source, and so its own JIT cache entry.
+ */
 struct CppSimOptions
 {
     /**
@@ -65,24 +69,6 @@ struct CppSimOptions
      * docs/simulation.md "Batched & parallel execution").
      */
     uint32_t lanes = 1;
-
-    /**
-     * Macro-task partition target (sim/partition.h). 0 or 1 (the
-     * default) emits the classic single-eval module, byte-identical to
-     * before partitioning existed. For partitions > 1 the schedule is
-     * cut by buildPartitionPlan() and eval is emitted as one function
-     * group per macro-task plus embedded dependency/cost tables:
-     * `cppsim_eval_partition(s, vals, i)` runs task i alone (callers
-     * follow the plan tables, sim/partition.h's PartitionRunner), and
-     * `cppsim_eval` is kept as the in-order loop over every task for
-     * plan-free hosts — same values either way. Each partition owns a
-     * private guard-pool slice and a private error slot (`perr[i]`),
-     * so concurrent partition evals never write shared state. The
-     * probed variant is rejected with partitions (observers are
-     * notified host-side after the partitions join), and so is lanes >
-     * 1 (batched runs spread their tiles over threads instead).
-     */
-    uint32_t partitions = 0;
 };
 
 /**

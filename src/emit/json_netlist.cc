@@ -216,7 +216,7 @@ refFromJson(const json::Value &obj)
         return cellPort(obj.at("cell").asStr(), obj.at("port").asStr());
     if (kind == "const")
         return constant(obj.at("value").asNum(),
-                        static_cast<Width>(obj.at("width").asNum()));
+                        checkedWidth(obj.at("width").asNum(), "constant"));
     fatal("json-netlist: bad port reference kind '", kind, "'");
 }
 
@@ -281,7 +281,8 @@ primDefFromJson(const json::Value &obj)
         if (const json::Value *wp = p.find("width_param"))
             spec.widthParam = wp->asStr();
         else
-            spec.fixedWidth = static_cast<Width>(p.at("width").asNum());
+            spec.fixedWidth =
+                checkedWidth(p.at("width").asNum(), "port ", spec.name);
         def.ports.push_back(std::move(spec));
     }
     if (const json::Value *go = obj.find("go_port"))
@@ -345,7 +346,7 @@ loadJsonNetlist(const std::string &text)
             // go/done already exist implicitly.
             if (pname == "go" || pname == "done")
                 continue;
-            Width w = static_cast<Width>(p.at("width").asNum());
+            Width w = checkedWidth(p.at("width").asNum(), "port ", pname);
             if (dirFromJson(p.at("dir")) == Direction::Input)
                 comp.addInput(pname, w);
             else

@@ -70,19 +70,19 @@ Context::instantiate(Symbol name, Symbol type,
             env[def.params[i]] = params[i];
         std::vector<PortDef> ports;
         for (const auto &spec : def.ports) {
-            Width w = spec.fixedWidth;
+            uint64_t w = spec.fixedWidth;
             if (!spec.widthParam.empty()) {
                 auto it = env.find(spec.widthParam);
                 if (it == env.end()) {
                     fatal("primitive ", type, ": port ", spec.name,
                           " references unknown parameter ", spec.widthParam);
                 }
-                w = static_cast<Width>(it->second);
+                w = it->second;
             }
-            if (w == 0 || w > 64)
-                fatal("primitive ", type, ": port ", spec.name,
-                      " has invalid width ", w);
-            ports.push_back(PortDef{spec.name, w, spec.dir});
+            ports.push_back(PortDef{
+                spec.name,
+                checkedWidth(w, "primitive ", type, ": port ", spec.name),
+                spec.dir});
         }
         auto cell = std::make_unique<Cell>(name, type, params,
                                            std::move(ports), true);

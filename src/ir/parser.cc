@@ -103,29 +103,35 @@ class Lexer
             return;
         }
         if (std::isdigit(static_cast<unsigned char>(c))) {
-            uint64_t value = 0;
-            while (pos < src.size() &&
-                   std::isdigit(static_cast<unsigned char>(src[pos]))) {
-                value = value * 10 + (src[pos] - '0');
-                ++pos;
-            }
+            // Digits at `pos` as one decimal; overflow is an error, not
+            // a wrap to the value modulo 2^64.
+            auto decimal = [&] {
+                uint64_t v = 0;
+                while (pos < src.size() &&
+                       std::isdigit(static_cast<unsigned char>(src[pos]))) {
+                    uint64_t digit = static_cast<uint64_t>(src[pos] - '0');
+                    if (v > (UINT64_MAX - digit) / 10) {
+                        fatal("parse error at line ", line,
+                              ": decimal literal does not fit in 64 bits");
+                    }
+                    v = v * 10 + digit;
+                    ++pos;
+                }
+                return v;
+            };
+            uint64_t value = decimal();
             // W'dV sized constant.
             if (pos + 1 < src.size() && src[pos] == '\'' &&
                 src[pos + 1] == 'd') {
                 pos += 2;
-                uint64_t v = 0;
                 if (pos >= src.size() ||
                     !std::isdigit(static_cast<unsigned char>(src[pos]))) {
                     fatal("parse error at line ", line,
                           ": expected digits after 'd");
                 }
-                while (pos < src.size() &&
-                       std::isdigit(static_cast<unsigned char>(src[pos]))) {
-                    v = v * 10 + (src[pos] - '0');
-                    ++pos;
-                }
+                uint64_t v = decimal();
                 tok.kind = Tok::SizedConst;
-                tok.width = static_cast<Width>(value);
+                tok.width = checkedWidth(value, "constant");
                 tok.number = v;
                 tok.text = std::to_string(value) + "'d" + std::to_string(v);
                 return;
@@ -325,7 +331,7 @@ class ProgramParser
                 expectSymbol(":");
                 if (lex.peek().kind == Tok::Number) {
                     spec.fixedWidth =
-                        static_cast<Width>(lex.next().number);
+                        checkedWidth(lex.next().number, "port ", spec.name);
                 } else {
                     spec.widthParam = ident();
                 }
@@ -403,7 +409,7 @@ class ProgramParser
         while (true) {
             std::string pname = ident();
             expectSymbol(":");
-            Width w = static_cast<Width>(expect(Tok::Number).number);
+            Width w = checkedWidth(expect(Tok::Number).number, "port ", pname);
             // go/done already exist implicitly.
             if (!comp.hasPort(pname)) {
                 if (dir == Direction::Input)

@@ -73,8 +73,7 @@ holePort(Symbol group, Symbol hole)
 PortRef
 constant(uint64_t value, Width width)
 {
-    if (width == 0 || width > 64)
-        fatal("constant width must be in [1, 64], got ", width);
+    checkedWidth(width, "constant");
     if (value != truncate(value, width))
         fatal("constant ", value, " does not fit in ", width, " bits");
     PortRef p;

@@ -1,52 +1,13 @@
 #include "passes/pass_manager.h"
 
-#include <algorithm>
 #include <chrono>
 #include <iostream>
-#include <unordered_map>
 
 #include "ir/printer.h"
 #include "passes/wellformed.h"
 #include "support/error.h"
-#include "support/pool.h"
 
 namespace calyx::passes {
-
-namespace {
-
-/**
- * Components grouped into dependency wavefronts: level 0 instantiates
- * no components, level N only instantiates components of levels < N.
- * Components within one level share no instantiation edge in either
- * direction (the relation is a DAG and levels are its longest-path
- * strata), so a per-component pass may process a whole level
- * concurrently; the level boundary is the barrier that makes callee
- * results (inferred latencies, lowered signatures) visible to callers,
- * exactly as the serial topological traversal does.
- */
-std::vector<std::vector<Component *>>
-dependencyLevels(Context &ctx)
-{
-    std::vector<std::vector<Component *>> levels;
-    std::unordered_map<Symbol, size_t> level;
-    for (Component *comp : ctx.topologicalOrder()) {
-        size_t lv = 0;
-        for (const auto &cell : comp->cells()) {
-            if (cell->isPrimitive())
-                continue;
-            auto it = level.find(cell->type());
-            if (it != level.end())
-                lv = std::max(lv, it->second + 1);
-        }
-        level[comp->name()] = lv;
-        if (lv >= levels.size())
-            levels.resize(lv + 1);
-        levels[lv].push_back(comp);
-    }
-    return levels;
-}
-
-} // namespace
 
 void
 Pass::option(const std::string &key, const std::string &value)
@@ -81,15 +42,6 @@ PassManager::run(Context &ctx, const RunOptions &opts) const
     infos.reserve(passes.size());
     WellFormed checker;
 
-    // Wavefront partition for parallel per-component dispatch. Computed
-    // once: passes never add or remove components, and a pass that
-    // deletes an instantiation cell only loosens the constraints, so a
-    // stale (over-constrained) partition stays correct.
-    const unsigned threads = std::max(1u, opts.threads);
-    std::vector<std::vector<Component *>> levels;
-    if (threads > 1)
-        levels = dependencyLevels(ctx);
-
     for (const auto &pass : passes) {
         PassRunInfo info;
         info.pass = pass->name();
@@ -97,20 +49,7 @@ PassManager::run(Context &ctx, const RunOptions &opts) const
             info.before = gatherStats(ctx);
 
         auto start = clock::now();
-        if (threads > 1 && pass->componentParallel()) {
-            // Each wavefront fans out over the shared pool; the level
-            // boundary is a barrier, so dependency-directed reads (a
-            // caller consulting its callee's inferred latency) see
-            // completed callees just as the serial traversal does.
-            for (const auto &lv : levels) {
-                WorkPool::global().parallelFor(
-                    lv.size(), threads, [&](size_t i) {
-                        pass->runOnComponent(*lv[i], ctx);
-                    });
-            }
-        } else {
-            pass->runOnContext(ctx);
-        }
+        pass->runOnContext(ctx);
         info.seconds =
             std::chrono::duration<double>(clock::now() - start).count();
 

@@ -36,21 +36,6 @@ class Pass
     virtual void runOnComponent(Component &comp, Context &ctx);
 
     virtual void runOnContext(Context &ctx);
-
-    /**
-     * Whether runOnComponent may be dispatched across components in
-     * parallel (RunOptions::threads). True for the default traversal:
-     * every core pass confines its mutations and analysis state
-     * (DefUse, uniqueName counters) to the component it was handed,
-     * reads other components only through instantiation edges (callee
-     * signatures and latency attributes), and Symbol interning is
-     * thread-safe. The parallel traversal preserves those dependency
-     * reads by running components in wavefronts of the instantiation
-     * DAG (docs/service.md). A pass that overrides runOnContext to do
-     * whole-program work must also override this to return false, so
-     * it runs as a serial barrier between parallel passes.
-     */
-    virtual bool componentParallel() const { return true; }
 };
 
 /** Instrumentation record for one executed pass. */
@@ -75,14 +60,6 @@ struct RunOptions
     std::string dumpIrAfter;
     /** Stream for dumpIrAfter (defaults to std::cerr when null). */
     std::ostream *dumpTo = nullptr;
-    /**
-     * Worker threads for per-component pass execution. With threads > 1
-     * each componentParallel() pass dispatches the components of one
-     * dependency wavefront concurrently over the shared WorkPool;
-     * passes that opt out (and verification, stats collection, and IR
-     * dumps) stay serial, so PassRunInfo aggregates deterministically.
-     */
-    unsigned threads = 1;
 };
 
 /** Runs a pipeline of passes with optional validation/instrumentation. */

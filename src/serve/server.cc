@@ -146,7 +146,6 @@ serve(const sim::SimProgram &prog, std::istream &in, std::ostream &out,
                     creq.pipeline = p->asStr();
                 if (const json::Value *b = req.find("backend"))
                     creq.backend = b->asStr();
-                creq.threads = opts.threads;
                 cache::CompileResult cres = compiler.compile(creq);
                 ++stats.compiles;
                 writeFrame(out, okResponse(

@@ -18,6 +18,9 @@ namespace calyx::serve {
 struct ServeOptions
 {
     sim::Engine engine = sim::Engine::Compiled;
+    /// Worker threads for `run` requests: the tiles of one batch spread
+    /// over them (BatchOptions::threads). `compile` requests run their
+    /// passes on the serve thread.
     unsigned threads = 1;
     /// 0 keeps the BatchOptions default (widest compiled tile).
     uint32_t laneTile = 0;

@@ -7,10 +7,9 @@
 
 #include "sim/compiled.h"
 #include "sim/models.h"
-#include "sim/partition.h"
-#include "support/pool.h"
 #include "sim/schedule.h"
 #include "support/error.h"
+#include "support/pool.h"
 
 namespace calyx::sim {
 
@@ -239,7 +238,6 @@ BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
 void
 BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                               size_t start, size_t count,
-                              PartitionRunner *runner,
                               std::vector<LaneResult> &out)
 {
     const LevelizedPlan &P = *plan;
@@ -289,34 +287,23 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             queue.push(n);
         }
     };
-    if (!runner) {
-        for (uint32_t n = 0; n < numNodes; ++n) {
-            inQueue[n] = 1;
-            queue.push(n);
-        }
+    for (uint32_t n = 0; n < numNodes; ++n) {
+        inQueue[n] = 1;
+        queue.push(n);
     }
 
-    // Guard memos, one per lane (lanes have their own values), and
-    // under the partition runner one such block per worker, since
-    // concurrent tasks evaluate the same lane.
+    // Guard memos, one per lane: lanes have their own values.
     const GuardDag &dag = prog->guardDag();
-    std::vector<GuardMemo> memos((runner ? innerPlan->threads : 1) * K,
-                                 GuardMemo(dag.nodes.size()));
+    std::vector<GuardMemo> memos(K, GuardMemo(dag.nodes.size()));
 
     // Driver priority mirrors SimState::evalPort: active assignment
-    // beats the go force beats model output beats zero. `tmpBlock` is
-    // a np*K scratch block for evalComb results — the shared `tmp` on
-    // the serial path, a worker-private block under the partition
-    // runner (evalComb writes every output of a model, so concurrent
-    // tasks sharing one block would race on ports they do not own).
-    // `memoBlock` holds the K lane memos of the same owner.
-    auto evalPort = [&](size_t l, uint32_t p, bool check, bool memoize,
-                        uint64_t *tmpBlock,
-                        GuardMemo *memoBlock) -> uint64_t {
+    // beats the go force beats model output beats zero.
+    auto evalPort = [&](size_t l, uint32_t p, bool check,
+                        bool memoize) -> uint64_t {
         uint64_t *base = vals.data() + l * np;
         const SAssign *winner = nullptr;
         for (const SAssign *a : P.activeByPort[p]) {
-            if (!dag.eval(a->guardRoot, base, memoBlock[l], memoize))
+            if (!dag.eval(a->guardRoot, base, memos[l], memoize))
                 continue;
             if (winner && check) {
                 fatal("multiple active drivers for port ",
@@ -333,7 +320,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             return goVal[l] ? 1 : 0;
         int32_t mi = P.portModelIdx[p];
         if (mi >= 0) {
-            uint64_t *tb = tmpBlock + l * np;
+            uint64_t *tb = tmp.data() + l * np;
             models[l][mi]->evalComb(base, tb);
             return tb[p];
         }
@@ -351,8 +338,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                 if (!alive[l])
                     continue;
                 uint64_t *base = vals.data() + l * np;
-                uint64_t nv =
-                    evalPort(l, p, true, true, tmp.data(), memos.data());
+                uint64_t nv = evalPort(l, p, true, true);
                 if (nv != base[p]) {
                     base[p] = nv;
                     changed = true;
@@ -391,8 +377,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                 changed = false;
                 for (uint32_t i = 0; i < node.count; ++i) {
                     uint32_t p = mem[i];
-                    uint64_t nv = evalPort(l, p, false, false, tmp.data(),
-                                           memos.data());
+                    uint64_t nv = evalPort(l, p, false, false);
                     if (nv != base[p]) {
                         base[p] = nv;
                         memChanged[i] = 1;
@@ -402,7 +387,7 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             }
             for (uint32_t i = 0; i < node.count; ++i) {
                 // Settled conflict re-check.
-                evalPort(l, mem[i], true, false, tmp.data(), memos.data());
+                evalPort(l, mem[i], true, false);
             }
         }
         for (uint32_t i = 0; i < node.count; ++i) {
@@ -418,67 +403,6 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
         }
     };
 
-    // Partitioned variant of evalNode for the macro-task walk: the full
-    // schedule re-evaluates every cycle, so the dirty-queue bookkeeping
-    // (markDirty fanout marking, the shared memChanged vector) drops
-    // out entirely and evalComb scratch comes from the worker's block.
-    auto evalNodeFull = [&](uint32_t ni, uint64_t *tmpBlock,
-                            GuardMemo *memoBlock) {
-        const SimSchedule::Node &node = sched.nodes()[ni];
-        const uint32_t *mem = sched.memberPorts().data() + node.first;
-        if (!node.cyclic) {
-            uint32_t p = mem[0];
-            for (size_t l = 0; l < K; ++l) {
-                if (!alive[l])
-                    continue;
-                vals[l * np + p] =
-                    evalPort(l, p, true, true, tmpBlock, memoBlock);
-            }
-            return;
-        }
-        for (size_t l = 0; l < K; ++l) {
-            if (!alive[l])
-                continue;
-            uint64_t *base = vals.data() + l * np;
-            bool changed = true;
-            int iter = 0;
-            while (changed) {
-                if (++iter > maxCombPasses) {
-                    std::string ports;
-                    for (uint32_t i = 0; i < node.count; ++i) {
-                        if (!ports.empty())
-                            ports += ", ";
-                        ports += prog->portName(mem[i]);
-                    }
-                    fatal("combinational cycle did not settle after ",
-                          maxCombPasses,
-                          " iterations; ports on the cycle: ", ports);
-                }
-                changed = false;
-                for (uint32_t i = 0; i < node.count; ++i) {
-                    uint32_t p = mem[i];
-                    uint64_t nv =
-                        evalPort(l, p, false, false, tmpBlock, memoBlock);
-                    if (nv != base[p]) {
-                        base[p] = nv;
-                        changed = true;
-                    }
-                }
-            }
-            for (uint32_t i = 0; i < node.count; ++i) {
-                // Settled conflict re-check.
-                evalPort(l, mem[i], true, false, tmpBlock, memoBlock);
-            }
-        }
-    };
-
-    // Worker-private evalComb scratch blocks for the partition runner.
-    std::vector<std::vector<uint64_t>> wscratch;
-    if (runner) {
-        wscratch.assign(innerPlan->threads,
-                        std::vector<uint64_t>(size_t(np) * K, 0));
-    }
-
     const auto &stateful = sched.statefulModels();
     uint64_t cycles = 0;
     while (liveCount) {
@@ -489,19 +413,11 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
         }
         for (GuardMemo &m : memos)
             m.beginCycle();
-        if (runner) {
-            runner->run([&](uint32_t task, unsigned worker) {
-                uint64_t *blk = wscratch[worker].data();
-                for (uint32_t n : innerPlan->tasks[task].nodes)
-                    evalNodeFull(n, blk, memos.data() + worker * K);
-            });
-        } else {
-            while (!queue.empty()) {
-                uint32_t n = queue.top();
-                queue.pop();
-                inQueue[n] = 0;
-                evalNode(n);
-            }
+        while (!queue.empty()) {
+            uint32_t n = queue.top();
+            queue.pop();
+            inQueue[n] = 0;
+            evalNode(n);
         }
         for (size_t l = 0; l < K; ++l) {
             if (!alive[l])
@@ -511,16 +427,13 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
             for (auto &m : models[l])
                 m->clock(base);
             // Seed the next cycle's queue from stateful outputs that
-            // moved at the edge (union over lanes). The partitioned
-            // walk re-evaluates the full schedule, so it needs no seed.
-            if (!runner) {
-                uint64_t *tb = tmp.data() + l * np;
-                for (size_t i = 0; i < stateful.size(); ++i) {
-                    models[l][P.statefulIdx[i]]->evalComb(base, tb);
-                    for (uint32_t o : sched.statefulOutputs(i)) {
-                        if (tb[o] != base[o])
-                            markDirty(o);
-                    }
+            // moved at the edge (union over lanes).
+            uint64_t *tb = tmp.data() + l * np;
+            for (size_t i = 0; i < stateful.size(); ++i) {
+                models[l][P.statefulIdx[i]]->evalComb(base, tb);
+                for (uint32_t o : sched.statefulOutputs(i)) {
+                    if (tb[o] != base[o])
+                        markDirty(o);
                 }
             }
             if (!done)
@@ -585,24 +498,11 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
         countTiles(B / L, L, B / L * L);
         if (B % L)
             countTiles(1, B % L, B % L);
-        const unsigned inner =
-            opts.threads > 1 && nTiles == 1 ? opts.threads : 1;
-        PartitionRunner *runner = nullptr;
-        if (inner > 1) {
-            if (!innerPlan) {
-                innerPlan = std::make_unique<PartitionPlan>(
-                    buildPartitionPlan(*prog, *plan->sched,
-                                       partitionTarget(), inner));
-                innerRunner = std::make_unique<PartitionRunner>(*innerPlan);
-            }
-            if (innerPlan->parallel())
-                runner = innerRunner.get();
-        }
         WorkPool::global().parallelFor(
             nTiles, opts.threads, [&](size_t t) {
                 size_t startIdx = t * L;
                 size_t count = std::min<size_t>(L, B - startIdx);
-                runLevelizedTile(batch, startIdx, count, runner, out);
+                runLevelizedTile(batch, startIdx, count, out);
             });
     }
     return out;

@@ -12,8 +12,6 @@
 namespace calyx::sim {
 
 class CompiledModule;
-struct PartitionPlan;
-class PartitionRunner;
 
 /**
  * One independent stimulus set for a batched run: initial memory images
@@ -41,14 +39,11 @@ struct BatchOptions
 {
     Engine engine = Engine::Compiled;
     /**
-     * Worker threads (1 = run on the caller). Tiles are spread over
-     * them, including the one-lane tiles of a short compiled batch.
-     * The levelized engine, when a batch has a single tile (notably
-     * batch size 1), moves the threads *inside* the tile instead,
-     * running the macro-task partition plan (sim/partition.h). The two
-     * levels never stack: inner partitioning engages only when the
-     * outer tile loop is serial, so occupancy stays at `threads` either
-     * way (see docs/simulation.md "Partitioned execution").
+     * Worker threads (1 = run on the caller). Independent tiles are
+     * spread over them, including the one-lane tiles of a short
+     * compiled batch; each tile is one serial walk, so a batch with a
+     * single tile (notably batch size 1) runs on one thread whatever
+     * this says.
      */
     unsigned threads = 1;
     /**
@@ -154,8 +149,7 @@ class BatchRunner
                          const CompiledModule &mod,
                          std::vector<LaneResult> &out);
     void runLevelizedTile(const std::vector<Stimulus> &batch, size_t start,
-                          size_t count, PartitionRunner *runner,
-                          std::vector<LaneResult> &out);
+                          size_t count, std::vector<LaneResult> &out);
     std::shared_ptr<CompiledModule> moduleFor(uint32_t lanes);
     /// Add `tiles` tiles `lanes` wide holding `stimuli` stimuli in all.
     void countTiles(size_t tiles, uint32_t lanes, size_t stimuli);
@@ -179,12 +173,6 @@ class BatchRunner
     TileCounts tally;
 
     std::unique_ptr<LevelizedPlan> plan; ///< Levelized engine only.
-
-    /// Intra-tile macro-task plan (levelized engine), built lazily the
-    /// first time a run has a single tile and threads > 1 (see
-    /// BatchOptions::threads).
-    std::unique_ptr<PartitionPlan> innerPlan;
-    std::unique_ptr<PartitionRunner> innerRunner;
 };
 
 /** One-shot convenience over a temporary BatchRunner. */

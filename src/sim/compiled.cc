@@ -16,7 +16,6 @@
 
 #include "emit/cppsim.h"
 #include "sim/env.h"
-#include "sim/partition.h"
 #include "support/error.h"
 #include "support/hash.h"
 #include "support/pool.h"
@@ -329,14 +328,12 @@ compiledEngineUnavailableReason()
 }
 
 std::shared_ptr<CompiledModule>
-CompiledModule::load(const SimProgram &prog, bool probe, uint32_t lanes,
-                     uint32_t partitions)
+CompiledModule::load(const SimProgram &prog, bool probe, uint32_t lanes)
 {
     std::ostringstream src;
     emit::CppSimOptions opts;
     opts.probe = probe;
     opts.lanes = lanes;
-    opts.partitions = partitions;
     emit::emitCppSim(prog, src, opts);
     std::string source = src.str();
     std::string digest = contentDigest(source);
@@ -420,28 +417,6 @@ CompiledModule::load(const SimProgram &prog, bool probe, uint32_t lanes,
         mod->handle, "cppsim_clock", so);
     mod->fnError = resolveSym<const char *(*)(void *)>(
         mod->handle, "cppsim_error", so);
-    // Optional: only partitioned modules export the partition ABI. The
-    // task count is the partitioner's output for this design, so it is
-    // never compared against the requested target — only the ABI's
-    // presence is checked.
-    auto num_parts = reinterpret_cast<uint32_t (*)()>(
-        dlsym(mod->handle, "cppsim_num_partitions"));
-    mod->parts = num_parts ? num_parts() : 1;
-    if (partitions > 1) {
-        if (!num_parts) {
-            fatal("compiled engine: ", so,
-                  " lacks the partition ABI despite a partitioned build "
-                  "(stale cache object; remove it and rerun)");
-        }
-        mod->fnEvalPart = resolveSym<void (*)(void *, uint64_t *, uint32_t)>(
-            mod->handle, "cppsim_eval_partition", so);
-        mod->partDepOff = resolveSym<const uint32_t *(*)()>(
-            mod->handle, "cppsim_part_dep_offsets", so)();
-        mod->partDeps = resolveSym<const uint32_t *(*)()>(
-            mod->handle, "cppsim_part_deps", so)();
-        mod->partCosts = resolveSym<const uint64_t *(*)()>(
-            mod->handle, "cppsim_part_costs", so)();
-    }
     // Optional: only probed modules export it, so plain dlsym rather
     // than the fatal()ing resolveSym.
     mod->fnSetProbe = reinterpret_cast<void (*)(
@@ -514,31 +489,6 @@ const char *
 CompiledModule::error(void *inst) const
 {
     return fnError(inst);
-}
-
-void
-CompiledModule::evalPartition(void *inst, uint64_t *vals, uint32_t i) const
-{
-    if (!fnEvalPart)
-        fatal("compiled engine: evalPartition on an unpartitioned module");
-    fnEvalPart(inst, vals, i);
-}
-
-PartitionPlan
-CompiledModule::partitionPlan(unsigned threads) const
-{
-    if (!partDepOff || !partDeps || !partCosts)
-        fatal("compiled engine: partitionPlan on an unpartitioned module");
-    PartitionPlan plan;
-    plan.tasks.resize(parts);
-    for (uint32_t t = 0; t < parts; ++t) {
-        PartitionPlan::Task &task = plan.tasks[t];
-        task.deps.assign(partDeps + partDepOff[t],
-                         partDeps + partDepOff[t + 1]);
-        task.cost = partCosts[t] ? partCosts[t] : 1;
-    }
-    assignThreads(plan, threads);
-    return plan;
 }
 
 void

@@ -8,7 +8,6 @@
 namespace calyx::sim {
 
 class SimProgram;
-struct PartitionPlan;
 
 /**
  * JIT driver for the compiled simulation engine
@@ -58,20 +57,13 @@ class CompiledModule
      * register/memory storage behind bind(). Each lane count is its
      * own source, digest, and cache entry. Lane modules reject probe.
      *
-     * `partitions` > 1 requests a partitioned module
-     * (CppSimOptions::partitions): eval is split into one function
-     * group per macro-task with embedded dependency/cost tables, and
-     * `evalPartition()` / `partitionPlan()` become available. The
-     * module's actual task count is whatever the partitioner produced
-     * for this design (numPartitions(), possibly 1 for serial
-     * designs) — it is NOT compared against the request, only the
-     * presence of the partition ABI is. Partitioned modules reject
-     * probe; composes with lanes.
+     * Every module runs one eval() per settle on the calling thread;
+     * threads only ever run whole modules side by side (batch tiles,
+     * sim/batch.h), each on its own instance.
      */
     static std::shared_ptr<CompiledModule> load(const SimProgram &prog,
                                                 bool probe = false,
-                                                uint32_t lanes = 1,
-                                                uint32_t partitions = 0);
+                                                uint32_t lanes = 1);
 
     ~CompiledModule();
 
@@ -116,29 +108,6 @@ class CompiledModule
     /** One full combinational settle over `vals`. */
     void eval(void *inst, uint64_t *vals) const;
 
-    /**
-     * Macro-tasks this module's eval is split into (1 = unpartitioned
-     * or the partitioner degenerated to a single task). Only modules
-     * loaded with `partitions` > 1 can report > 1.
-     */
-    uint32_t numPartitions() const { return parts; }
-
-    /**
-     * Evaluate macro-task `i` alone over `vals` (partitioned modules
-     * only). Callers must honor the dependency order of
-     * partitionPlan(); concurrent calls for independent tasks are safe
-     * (each task owns a private guard-pool slice and error slot).
-     */
-    void evalPartition(void *inst, uint64_t *vals, uint32_t i) const;
-
-    /**
-     * Rebuild the PartitionPlan from the module's embedded dependency
-     * and cost tables (Task::nodes stays empty — the generated code is
-     * the node walk), then assignThreads(plan, threads). Partitioned
-     * modules only.
-     */
-    PartitionPlan partitionPlan(unsigned threads) const;
-
     /** One clock edge for every stateful primitive. */
     void clock(void *inst, uint64_t *vals) const;
 
@@ -163,11 +132,8 @@ class CompiledModule
     std::string soPath;
     bool cached = false;
 
-    uint32_t ports = 0, regs = 0, mems = 0, lanes = 1, parts = 1;
+    uint32_t ports = 0, regs = 0, mems = 0, lanes = 1;
     const unsigned char *drivenMask = nullptr;
-    const uint32_t *partDepOff = nullptr;
-    const uint32_t *partDeps = nullptr;
-    const uint64_t *partCosts = nullptr;
 
     uint64_t (*fnMemSize)(uint32_t) = nullptr;
     void *(*fnNew)() = nullptr;
@@ -175,7 +141,6 @@ class CompiledModule
     void (*fnBind)(void *, uint64_t **, uint64_t **) = nullptr;
     void (*fnReset)(void *, uint64_t *) = nullptr;
     void (*fnEval)(void *, uint64_t *) = nullptr;
-    void (*fnEvalPart)(void *, uint64_t *, uint32_t) = nullptr;
     void (*fnClock)(void *, uint64_t *) = nullptr;
     const char *(*fnError)(void *) = nullptr;
     void (*fnSetProbe)(void *, void (*)(void *, const uint64_t *),

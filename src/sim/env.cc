@@ -5,10 +5,8 @@
 
 #include "obs/observer.h"
 #include "sim/compiled.h"
-#include "sim/partition.h"
 #include "sim/schedule.h"
 #include "support/error.h"
-#include "support/pool.h"
 #include "support/text.h"
 
 namespace calyx::sim {
@@ -467,17 +465,8 @@ SimProgram::schedule() const
 }
 
 std::shared_ptr<CompiledModule>
-SimProgram::compiledModule(bool probe, uint32_t partitions) const
+SimProgram::compiledModule(bool probe) const
 {
-    if (partitions > 1) {
-        // The partitioned variant is never probed: observers are
-        // notified host-side after the partitions join, so one module
-        // serves observed and unobserved partitioned runs alike.
-        if (!compiledPart)
-            compiledPart =
-                CompiledModule::load(*this, false, 1, partitions);
-        return compiledPart;
-    }
     auto &slot = compiled[probe ? 1 : 0];
     if (!slot)
         slot = CompiledModule::load(*this, probe);
@@ -772,26 +761,6 @@ SimState::force(uint32_t port, uint64_t value)
     forces.emplace_back(port, value);
 }
 
-void
-SimState::setThreads(unsigned n)
-{
-    n = n ? n : 1;
-    if (n == threadsVal)
-        return;
-    threadsVal = n;
-    partPlan.reset();
-    partRunner.reset();
-    workerScratch.clear();
-    workerMemo.clear();
-    if (compiledInst) {
-        // The partitioned and plain generated modules are distinct;
-        // drop the bound instance so the next comb() reloads the right
-        // variant (callers set threads before the first comb()).
-        compiledMod->freeInstance(compiledInst);
-        compiledInst = nullptr;
-    }
-}
-
 int
 SimState::comb()
 {
@@ -801,7 +770,7 @@ SimState::comb()
         evals = combJacobi();
         break;
       case Engine::Levelized:
-        evals = threadsVal > 1 ? combPartitioned() : combLevelized();
+        evals = combLevelized();
         break;
       case Engine::Compiled:
         evals = combCompiled();
@@ -827,7 +796,7 @@ void
 SimState::addObserver(obs::SimObserver *observer)
 {
     observerList.push_back(observer);
-    if (compiledInst && !compiledProbe && threadsVal <= 1) {
+    if (compiledInst && !compiledProbe) {
         // A plain (probe-free) module is already bound; drop it so the
         // next comb() reloads the probed variant.
         compiledMod->freeInstance(compiledInst);
@@ -861,21 +830,9 @@ SimState::ensureCompiled()
 {
     if (compiledInst)
         return;
-    // Partitioned runs never use the probed module: observers are
-    // notified host-side after the partitions join (comb() calls
-    // notifySettled when compiledProbe is false), which is also the
-    // single deterministic drain point --trace/--profile rely on.
-    uint32_t partitions =
-        threadsVal > 1 ? partitionTarget() : 0;
-    bool want_probe = !observerList.empty() && partitions <= 1;
-    compiledMod = prog->compiledModule(want_probe, partitions);
+    bool want_probe = !observerList.empty();
+    compiledMod = prog->compiledModule(want_probe);
     compiledProbe = want_probe && compiledMod->hasProbe();
-
-    if (partitions > 1 && compiledMod->numPartitions() > 1) {
-        partPlan = std::make_unique<PartitionPlan>(
-            compiledMod->partitionPlan(threadsVal));
-        partRunner = std::make_unique<PartitionRunner>(*partPlan);
-    }
 
     // Bind the generated instance's register and memory state to the
     // PrimModel objects' own storage (model order on both sides), so
@@ -950,18 +907,6 @@ SimState::combCompiled()
                   prog->portName(port));
         }
         vals[port] = value;
-    }
-
-    if (threadsVal > 1 && partRunner) {
-        // Each partition entry point reads only ports its dependency
-        // partitions (or earlier cycles) wrote and writes only its own
-        // ports; the runner's stamp protocol publishes those writes in
-        // dependency order, so the result is bit-identical to eval().
-        partRunner->run([&](uint32_t task, unsigned) {
-            compiledMod->evalPartition(compiledInst, vals.data(), task);
-        });
-        checkCompiledError();
-        return static_cast<int>(compiledMod->numPartitions());
     }
 
     compiledMod->eval(compiledInst, vals.data());
@@ -1067,15 +1012,14 @@ SimState::diffForces()
 }
 
 uint64_t
-SimState::evalPort(uint32_t port, bool check_conflicts, bool memoize,
-                   uint64_t *scratch, GuardMemo &memo)
+SimState::evalPort(uint32_t port, bool check_conflicts, bool memoize)
 {
     // Driver priority mirrors the Jacobi pass order: active assignment
     // beats force beats model output beats the zero default.
     const GuardDag &dag = prog->guardDag();
     const SAssign *winner = nullptr;
     for (const SAssign *a : activeByPort[port]) {
-        if (!dag.eval(a->guardRoot, vals.data(), memo, memoize))
+        if (!dag.eval(a->guardRoot, vals.data(), guardMemo, memoize))
             continue;
         if (winner && check_conflicts) {
             fatal("multiple active drivers for port ",
@@ -1090,11 +1034,8 @@ SimState::evalPort(uint32_t port, bool check_conflicts, bool memoize,
     if (forcedStamp[port] == stamp)
         return forcedVal[port];
     if (PrimModel *m = sched->modelOf(port)) {
-        // evalComb writes every output of the model into the scratch
-        // plane, so concurrent partitioned workers each get their own
-        // plane (workerScratch) instead of sharing `tmp`.
-        m->evalComb(vals.data(), scratch);
-        return scratch[port];
+        m->evalComb(vals.data(), tmp.data());
+        return tmp[port];
     }
     return 0;
 }
@@ -1107,7 +1048,7 @@ SimState::evalNode(uint32_t node_index)
 
     if (!node.cyclic) {
         uint32_t p = mem[0];
-        uint64_t nv = evalPort(p, true, true, tmp.data(), guardMemo);
+        uint64_t nv = evalPort(p, true, true);
         if (nv != vals[p]) {
             vals[p] = nv;
             for (const uint32_t *q = sched->fanoutBegin(p),
@@ -1137,7 +1078,7 @@ SimState::evalNode(uint32_t node_index)
         changed = false;
         for (uint32_t i = 0; i < node.count; ++i) {
             uint32_t p = mem[i];
-            uint64_t nv = evalPort(p, false, false, tmp.data(), guardMemo);
+            uint64_t nv = evalPort(p, false, false);
             if (nv != vals[p]) {
                 vals[p] = nv;
                 portChanged[p] = 1;
@@ -1148,7 +1089,7 @@ SimState::evalNode(uint32_t node_index)
     // Settled: re-check with conflict detection (values cannot change),
     // then wake external fanouts of members that moved.
     for (uint32_t i = 0; i < node.count; ++i)
-        evalPort(mem[i], true, false, tmp.data(), guardMemo);
+        evalPort(mem[i], true, false);
     for (uint32_t i = 0; i < node.count; ++i) {
         uint32_t p = mem[i];
         if (!portChanged[p])
@@ -1178,108 +1119,6 @@ SimState::bindSchedule()
     guardMemo = GuardMemo(prog->guardDag().nodes.size());
     activeByPort.resize(prog->numPorts());
     oldActiveByPort.resize(prog->numPorts());
-}
-
-void
-SimState::ensurePartitioned()
-{
-    if (partPlan)
-        return;
-    partPlan = std::make_unique<PartitionPlan>(buildPartitionPlan(
-        *prog, *sched, partitionTarget(), threadsVal));
-    partRunner = std::make_unique<PartitionRunner>(*partPlan);
-    workerScratch.assign(partPlan->threads,
-                         std::vector<uint64_t>(prog->numPorts(), 0));
-    workerMemo.assign(partPlan->threads,
-                      GuardMemo(prog->guardDag().nodes.size()));
-}
-
-/**
- * evalNode stripped of dirty-cone bookkeeping for the partitioned
- * full walk: every node runs every cycle, so fanout marking buys
- * nothing (and the shared queue would race across workers). The value
- * trajectory — including the SCC Gauss-Seidel iteration order and the
- * settled conflict re-check — is identical to evalNode's, which is
- * what makes partitioned results bit-identical to scalar ones.
- */
-void
-SimState::evalNodeFull(uint32_t node_index, uint64_t *scratch,
-                       GuardMemo &memo)
-{
-    const SimSchedule::Node &node = sched->nodes()[node_index];
-    const uint32_t *mem = sched->memberPorts().data() + node.first;
-
-    if (!node.cyclic) {
-        uint32_t p = mem[0];
-        vals[p] = evalPort(p, true, true, scratch, memo);
-        return;
-    }
-
-    bool changed = true;
-    int iter = 0;
-    while (changed) {
-        if (++iter > maxCombPasses) {
-            std::string ports;
-            for (uint32_t i = 0; i < node.count; ++i) {
-                if (!ports.empty())
-                    ports += ", ";
-                ports += prog->portName(mem[i]);
-            }
-            fatal("combinational cycle did not settle after ",
-                  maxCombPasses, " iterations; ports on the cycle: ",
-                  ports);
-        }
-        changed = false;
-        for (uint32_t i = 0; i < node.count; ++i) {
-            uint32_t p = mem[i];
-            uint64_t nv = evalPort(p, false, false, scratch, memo);
-            if (nv != vals[p]) {
-                vals[p] = nv;
-                changed = true;
-            }
-        }
-    }
-    for (uint32_t i = 0; i < node.count; ++i)
-        evalPort(mem[i], true, false, scratch, memo);
-}
-
-int
-SimState::combPartitioned()
-{
-    bindSchedule();
-    ensurePartitioned();
-
-    ++stamp;
-    for (const auto &[port, value] : forces) {
-        forcedVal[port] = value;
-        forcedStamp[port] = stamp;
-    }
-    for (GuardMemo &m : workerMemo)
-        m.beginCycle();
-
-    // The partitioned walk evaluates the full schedule every cycle, so
-    // only the per-port active-driver lists need maintaining — no
-    // dirty diffing. rebuildActiveByPort still marks nodes dirty as a
-    // side effect; drain those marks so a later scalar cycle (or
-    // engine switch) starts clean.
-    if (!activationValid || activationCalls != prevActivationCalls)
-        rebuildActiveByPort();
-    activationValid = true;
-    while (!queue.empty()) {
-        inQueue[queue.top()] = 0;
-        queue.pop();
-    }
-
-    const PartitionPlan &p = *partPlan;
-    partRunner->run([&](uint32_t task, unsigned worker) {
-        // A worker's memo spans every task it runs this cycle: a node
-        // it memoized in one task had settled inputs then, and those
-        // inputs cannot move for the rest of the cycle.
-        uint64_t *scratch = workerScratch[worker].data();
-        for (uint32_t n : p.tasks[task].nodes)
-            evalNodeFull(n, scratch, workerMemo[worker]);
-    });
-    return static_cast<int>(sched->nodes().size());
 }
 
 int
@@ -1328,25 +1167,9 @@ SimState::clock()
         checkCompiledError();
         return;
     }
-    const auto &models = prog->models();
-    if (engineVal == Engine::Levelized && threadsVal > 1 && partPlan &&
-        partPlan->parallel() && !WorkPool::insideWorker()) {
-        // Clock edges are mutually independent: every model reads the
-        // shared settled port values and writes only its own private
-        // state, so a plain range split over the partition plan's
-        // thread count is exact (no ownership or ordering needed).
-        // The next comb() walks the full schedule, so the scalar
-        // engine's queue seeding below is also unnecessary.
-        WorkPool::global().parallelFor(
-            models.size(), partPlan->threads,
-            [&](size_t i) { models[i]->clock(vals.data()); });
-        return;
-    }
-    for (const auto &m : models)
+    for (const auto &m : prog->models())
         m->clock(vals.data());
     if (engineVal == Engine::Levelized && sched) {
-        if (threadsVal > 1)
-            return; // partitioned comb() re-walks everything
         // Seed the next cycle's event queue: outputs of stateful models
         // whose post-edge value differs from the settled one.
         const auto &stateful = sched->statefulModels();

@@ -21,8 +21,6 @@ namespace calyx::sim {
 
 class SimSchedule;
 class CompiledModule;
-struct PartitionPlan;
-class PartitionRunner;
 
 /**
  * Combinational evaluation engine selection (see docs/simulation.md).
@@ -124,11 +122,11 @@ struct SExpr
 constexpr uint32_t sexprInlineDepth = 64;
 
 /**
- * One evaluation thread's guard memo over a GuardDag: per node, the
- * stamp of the evaluation that computed it and its value, packed as
- * `stamp << 1 | value`. An entry counts only while its stamp matches
- * the reading evaluation's, so starting a new stamp invalidates the
- * whole plane in O(1).
+ * One walk's guard memo over a GuardDag (the scalar walk has one, every
+ * batch lane its own): per node, the stamp of the evaluation that
+ * computed it and its value, packed as `stamp << 1 | value`. An entry
+ * counts only while its stamp matches the reading evaluation's, so
+ * starting a new stamp invalidates the whole plane in O(1).
  */
 struct GuardMemo
 {
@@ -294,15 +292,8 @@ class SimProgram
      * callbacks compiled in (emit/cppsim.h) and cached separately —
      * requesting it never slows down unobserved runs of the plain
      * module, whose hot path stays branch-free.
-     *
-     * `partitions > 1` requests the partitioned variant instead: one
-     * generated function per macro-task plus embedded dependency
-     * tables (sim/partition.h), cached in its own slot. Partitioned
-     * modules are never probed — observers are notified host-side
-     * after the partitions join (see SimState::comb()).
      */
-    std::shared_ptr<CompiledModule>
-    compiledModule(bool probe = false, uint32_t partitions = 0) const;
+    std::shared_ptr<CompiledModule> compiledModule(bool probe = false) const;
 
     const Context &context() const { return *ctx; }
 
@@ -329,9 +320,6 @@ class SimProgram
     mutable std::unique_ptr<SimSchedule> sched; ///< Lazily built.
     /// Lazily loaded generated modules: [0] plain, [1] with probes.
     mutable std::shared_ptr<CompiledModule> compiled[2];
-    /// Lazily loaded partitioned module (one per process-stable
-    /// partition target; see partitionTarget()).
-    mutable std::shared_ptr<CompiledModule> compiledPart;
 };
 
 /**
@@ -379,19 +367,11 @@ class SimState
     const SimProgram &program() const { return *prog; }
 
     /**
-     * Worker threads for partitioned single-stimulus execution
-     * (docs/simulation.md, "Partitioned execution"). With n > 1 the
-     * levelized engine walks the full macro-task partition of the
-     * schedule every cycle on a static per-thread plan, and the
-     * compiled engine loads the partitioned generated module and
-     * dispatches its per-partition entry points the same way. n <= 1
-     * (the default) keeps the scalar dirty-cone / plain-module paths.
-     * Results are bit-identical either way. Call before the first
-     * comb(); changing it later rebuilds the plan (and rebinds the
-     * compiled instance, losing un-reset state).
+     * No-op, kept for source compatibility. A single stimulus always
+     * runs one serial walk on the calling thread; threads spread only
+     * the independent tiles of a batch (BatchOptions::threads).
      */
-    void setThreads(unsigned n);
-    unsigned threads() const { return threadsVal; }
+    void setThreads(unsigned) {}
 
     /**
      * Attach an observer (obs/observer.h); not owned, must outlive the
@@ -417,13 +397,9 @@ class SimState
     int combJacobi();
     int combLevelized();
     int combCompiled();
-    int combPartitioned();
 
     /** Bind + size the levelized engine state on first use. */
     void bindSchedule();
-
-    /** Build the partition plan/runner/scratch on first use. */
-    void ensurePartitioned();
 
     /** Load/bind the generated module on the first compiled comb(). */
     void ensureCompiled();
@@ -438,25 +414,16 @@ class SimState
     static void probeThunk(void *ctx, const uint64_t *vals);
 
     /**
-     * Settled value of one port under driver priority. `scratch` and
-     * `memo` belong to the calling walk (the partitioned walk gives
-     * each worker its own, so evalComb and guard memos never race);
-     * `memoize` is false for SCC members (GuardDag::eval).
+     * Settled value of one port under driver priority. `memoize` is
+     * false for SCC members (GuardDag::eval).
      */
-    uint64_t evalPort(uint32_t port, bool check_conflicts, bool memoize,
-                      uint64_t *scratch, GuardMemo &memo);
+    uint64_t evalPort(uint32_t port, bool check_conflicts, bool memoize);
 
     void markDirty(uint32_t port);
     void markAllDirty();
     void rebuildActiveByPort();
     void diffForces();
     void evalNode(uint32_t node_index);
-
-    /** evalNode without dirty-cone bookkeeping: the partitioned walk
-     * evaluates every node each cycle, so fanout marking is dead
-     * weight (and would race across workers). */
-    void evalNodeFull(uint32_t node_index, uint64_t *scratch,
-                      GuardMemo &memo);
 
     const SimProgram *prog;
     Engine engineVal;
@@ -487,7 +454,7 @@ class SimState
     /// wraps after 2^32 comb() calls and would revive an old force.
     std::vector<uint64_t> forcedStamp;
     uint64_t stamp = 0; ///< Incremented every comb().
-    GuardMemo guardMemo; ///< The scalar dirty-cone walk's memo plane.
+    GuardMemo guardMemo; ///< The dirty-cone walk's memo plane.
 
     /// Event queue: dirty schedule nodes, popped in topological order.
     std::priority_queue<uint32_t, std::vector<uint32_t>,
@@ -500,15 +467,6 @@ class SimState
     void *compiledInst = nullptr; ///< This state's generated instance.
     size_t continuousCount = 0;   ///< Total continuous assignments.
     bool compiledProbe = false;   ///< Loaded module notifies observers.
-
-    // --- Partitioned execution (both engines) -----------------------
-    unsigned threadsVal = 1;
-    std::unique_ptr<PartitionPlan> partPlan;
-    std::unique_ptr<PartitionRunner> partRunner;
-    /// One scratch plane (numPorts words) per plan thread; the
-    /// levelized partitioned walk hands workers disjoint planes.
-    std::vector<std::vector<uint64_t>> workerScratch;
-    std::vector<GuardMemo> workerMemo; ///< One guard memo per thread.
 
     // --- Observability ----------------------------------------------
     std::vector<obs::SimObserver *> observerList;

@@ -53,12 +53,6 @@ WorkPool::defaultThreads()
     return hw ? hw : 1;
 }
 
-bool
-WorkPool::insideWorker()
-{
-    return tlInPool;
-}
-
 unsigned
 WorkPool::peakParticipants()
 {
@@ -140,10 +134,8 @@ WorkPool::runAs(Job &job, size_t self)
 
     // Steal, one index at a time, from whichever range has the most
     // left. The claim is the same fetch_add the owner uses, so every
-    // index is executed exactly once. Static-plan jobs (noSteal) skip
-    // this: their items spin on each other, and a steal could park an
-    // item behind the very item it waits on.
-    while (!job.noSteal) {
+    // index is executed exactly once.
+    for (;;) {
         size_t best = SIZE_MAX, bestLeft = 0;
         for (size_t r = 0; r < job.parts; ++r) {
             size_t nx = job.ranges[r].next.load(std::memory_order_relaxed);
@@ -213,7 +205,7 @@ WorkPool::parallelFor(size_t n, unsigned threads,
         return;
     if (threads > n)
         threads = static_cast<unsigned>(n);
-    if (threads <= 1 || insideWorker()) {
+    if (threads <= 1 || tlInPool) {
         for (size_t i = 0; i < n; ++i)
             fn(i);
         return;
@@ -228,29 +220,6 @@ WorkPool::parallelFor(size_t n, unsigned threads,
         size_t start = r * chunk;
         j.ranges[r].next.store(start, std::memory_order_relaxed);
         j.ranges[r].end = std::min(n, start + chunk);
-    }
-    dispatch(j);
-}
-
-void
-WorkPool::runConcurrent(size_t n, const std::function<void(size_t)> &fn)
-{
-    if (n == 0)
-        return;
-    if (n == 1 || insideWorker()) {
-        for (size_t i = 0; i < n; ++i)
-            fn(i);
-        return;
-    }
-
-    Job j;
-    j.fn = &fn;
-    j.parts = n;
-    j.noSteal = true;
-    j.ranges = std::vector<Range>(n);
-    for (size_t r = 0; r < n; ++r) {
-        j.ranges[r].next.store(r, std::memory_order_relaxed);
-        j.ranges[r].end = r + 1;
     }
     dispatch(j);
 }

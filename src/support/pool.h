@@ -12,15 +12,12 @@
 namespace calyx {
 
 /**
- * Persistent work-stealing thread pool shared by every engine-agnostic
- * parallel loop in the toolchain: batch simulation partitions lane
- * tiles over it (sim/batch.h), the pass manager dispatches independent
- * components of one dependency wavefront over it
- * (passes/pass_manager.h), compiled-module shard builds run over it
- * (sim/compiled.h), and partitioned single-stimulus simulation pins
- * its static per-thread plans onto it (sim/partition.h). In all cases
- * the work items' state is disjoint by construction, so the pool needs
- * no per-item locking — only job distribution is synchronized.
+ * Persistent work-stealing thread pool shared by the toolchain's two
+ * parallel loops: batch simulation spreads independent tiles over it
+ * (sim/batch.h), and compiled-module shard builds run over it
+ * (sim/compiled.h). In both cases the work items' state is disjoint by
+ * construction, so the pool needs no per-item locking — only job
+ * distribution is synchronized.
  *
  * Work distribution is index-range stealing: parallelFor(n, w, fn)
  * splits [0, n) into `w` contiguous ranges, one per participant, each
@@ -32,13 +29,13 @@ namespace calyx {
  * and a 1-core machine never context-switches per item.
  *
  * The pool is the process-wide occupancy cap: jobs from concurrent
- * callers (e.g. `--serve` compiling one request while simulating
- * another) serialize on a single publication slot instead of stacking
- * thread counts, and a parallelFor issued from *inside* a worker runs
- * serially on that worker rather than deadlocking on the slot — so a
- * `--threads N` process never runs more than N items at once, however
- * the subsystems nest. peakParticipants() exposes the observed
- * high-water mark for tests asserting exactly that.
+ * callers (e.g. two threads each running a batch) serialize on a
+ * single publication slot instead of stacking thread counts, and a
+ * parallelFor issued from *inside* a worker runs serially on that
+ * worker rather than deadlocking on the slot — so a `--threads N`
+ * process never runs more than N items at once, however the subsystems
+ * nest. peakParticipants() exposes the observed high-water mark for
+ * tests asserting exactly that.
  *
  * Workers are spawned lazily up to the high-water request and persist
  * for the process lifetime (detached at exit), so a `futil --serve`
@@ -61,26 +58,6 @@ class WorkPool
      */
     void parallelFor(size_t n, unsigned threads,
                      const std::function<void(size_t)> &fn);
-
-    /**
-     * Run `fn(i)` for every i in [0, n) with a *dedicated* participant
-     * per index — no stealing, index i runs on participant i, the
-     * caller is participant 0. This is the primitive for static
-     * per-thread execution plans whose items block on each other
-     * (sim/partition.h): stealing would let one OS thread sit inside
-     * item A's spin-wait while item B — the one A waits on — is queued
-     * behind it on the same thread. Dedicated participants make every
-     * plan's progress assumption hold by construction. Runs serially
-     * when n <= 1 or when called from inside a pool worker.
-     */
-    void runConcurrent(size_t n, const std::function<void(size_t)> &fn);
-
-    /**
-     * True on a thread currently executing pool work (including the
-     * caller-as-participant). Used to demote nested parallel calls to
-     * serial execution.
-     */
-    static bool insideWorker();
 
     /**
      * High-water mark of simultaneously active participants since the
@@ -110,7 +87,6 @@ class WorkPool
         std::vector<Range> ranges;
         std::atomic<size_t> done{0}; ///< Participants finished.
         size_t parts = 0;
-        bool noSteal = false; ///< Dedicated participant per range.
     };
 
     void ensureWorkers(unsigned count);

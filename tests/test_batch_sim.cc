@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "frontends/dahlia/codegen.h"
@@ -394,6 +396,43 @@ TEST(WorkPool, PropagatesFirstException)
     WorkPool::global().parallelFor(32, 4,
                                         [&](size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 32u);
+}
+
+TEST(WorkPool, ConcurrentCallersDoNotStackThreads)
+{
+    // Two threads each request a 2-wide parallelFor at once. The pool
+    // serializes jobs, so the combined participant high-water mark must
+    // stay at one job's width (2) — not the 4 a per-caller thread pool
+    // would spike to.
+    WorkPool::global().resetPeakParticipants();
+    auto burst = [] {
+        WorkPool::global().parallelFor(8, 2, [](size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        });
+    };
+    std::thread a(burst), b(burst);
+    a.join();
+    b.join();
+    EXPECT_GE(WorkPool::peakParticipants(), 1u);
+    EXPECT_LE(WorkPool::peakParticipants(), 2u);
+}
+
+TEST(WorkPool, NestedParallelismIsCappedNotStacked)
+{
+    // A parallelFor issued from inside a pool worker runs serially on
+    // that worker: a nested loop (say, a compiled-module shard build
+    // started from inside a batch tile) must not multiply the thread
+    // count, and must not deadlock on the pool's single job slot.
+    WorkPool::global().resetPeakParticipants();
+    std::atomic<size_t> inner{0};
+    WorkPool::global().parallelFor(2, 2, [&](size_t) {
+        WorkPool::global().parallelFor(8, 4, [&](size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            inner.fetch_add(1);
+        });
+    });
+    EXPECT_EQ(inner.load(), 16u);
+    EXPECT_LE(WorkPool::peakParticipants(), 2u);
 }
 
 } // namespace

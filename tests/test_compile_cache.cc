@@ -3,10 +3,10 @@
  * pipeline-spec normalization (alias vs expansion, exclusions, option
  * order) hashing equal; transitive digest invalidation; and the
  * acceptance gates — a mutated-component request stream whose cached
- * (and parallel-pass) artifacts are byte-identical to cold serial
- * compiles for both the calyx and verilog backends, with a dependency
- * edit invalidating dependents transitively and sparing unrelated
- * components. Plus the LRU/disk-tier mechanics of CompileCache itself.
+ * artifacts are byte-identical to cold compiles for both the calyx
+ * and verilog backends, with a dependency edit invalidating
+ * dependents transitively and sparing unrelated components. Plus the
+ * LRU/disk-tier mechanics of CompileCache itself.
  */
 #include <gtest/gtest.h>
 
@@ -292,55 +292,6 @@ TEST(CompileService, DependencyEditInvalidatesTransitively)
     res = svc.compile(req);
     EXPECT_EQ(res.componentsFromCache, 2u);
     EXPECT_EQ(res.artifact, coldCompile(req.source, "all", "calyx"));
-}
-
-TEST(CompileService, ParallelPassesByteIdentical)
-{
-    // Wavefront-parallel pass execution (threads > 1) must produce the
-    // same artifact as a serial compile, byte for byte.
-    std::string src = chainProgram("3", "7");
-    cache::CompileRequest req;
-    req.source = src;
-    req.pipeline = "all";
-    req.threads = 4;
-    cache::CompileService svc((cache::CompileCache::Config()));
-    cache::CompileResult res = svc.compile(req);
-    EXPECT_EQ(res.artifact, coldCompile(src, "all", "calyx"));
-
-    // And directly through the pass manager, without the cache.
-    Context serial = Parser::parseProgram(src);
-    passes::runPipeline(serial, "all");
-    Context parallel = Parser::parseProgram(src);
-    passes::RunOptions opts;
-    opts.threads = 4;
-    passes::runPipeline(parallel, "all", opts);
-    EXPECT_EQ(Printer::toString(parallel), Printer::toString(serial));
-}
-
-TEST(CompileService, ParallelRunInfoAggregatesDeterministically)
-{
-    // PassRunInfo must not depend on the dispatch interleaving: same
-    // pass sequence, and per-pass stats deltas equal to a serial run.
-    std::string src = chainProgram("3", "7");
-    Context a = Parser::parseProgram(src);
-    passes::RunOptions sa;
-    sa.collectStats = true;
-    std::vector<passes::PassRunInfo> serial =
-        passes::runPipeline(a, "all", sa);
-    Context b = Parser::parseProgram(src);
-    passes::RunOptions pa;
-    pa.collectStats = true;
-    pa.threads = 4;
-    std::vector<passes::PassRunInfo> parallel =
-        passes::runPipeline(b, "all", pa);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].pass, parallel[i].pass);
-        EXPECT_EQ(serial[i].after.cells, parallel[i].after.cells);
-        EXPECT_EQ(serial[i].after.groups, parallel[i].after.groups);
-        EXPECT_EQ(serial[i].after.controlStatements,
-                  parallel[i].after.controlStatements);
-    }
 }
 
 TEST(CompileService, DiskTierSurvivesRestart)

@@ -132,27 +132,6 @@ TEST(CompiledEngine, RejectsUnloweredProgram)
     EXPECT_THROW(emit::emitCppSim(sp, os), Error);
 }
 
-TEST(CompiledEngine, RejectsPartitionedLaneModule)
-{
-    // Lane modules and partitioned modules serve different callers
-    // (batches spread tiles over threads); no module is both.
-    Context ctx = testing::counterProgram(3, 2);
-    passes::runPipeline(ctx, "all");
-    sim::SimProgram sp(ctx, "main");
-    emit::CppSimOptions opts;
-    opts.lanes = 4;
-    opts.partitions = 2;
-    std::ostringstream os;
-    try {
-        emit::emitCppSim(sp, os, opts);
-        FAIL() << "a partitioned lane module was emitted";
-    } catch (const Error &e) {
-        EXPECT_NE(std::string(e.what()).find("partitioned"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
 TEST(CompiledEngine, CounterMatchesInterpretedEngines)
 {
     SKIP_WITHOUT_TOOLCHAIN();

@@ -323,55 +323,50 @@ sharedGuardSccProgram()
 TEST(EngineEquivalence, GuardMemoMatchesJacobiAroundSharedGuardScc)
 {
     // Control interpreter: a different activation set almost every
-    // cycle, on the scalar and partitioned levelized walks.
-    auto interpret = [](sim::Engine engine, unsigned threads,
-                        uint64_t *cycles) {
+    // cycle, on the levelized dirty-cone walk.
+    auto interpret = [](sim::Engine engine, uint64_t *cycles) {
         Context ctx = sharedGuardSccProgram();
         sim::SimProgram sp(ctx, "main");
         sim::Interp interp(sp, engine);
-        interp.state().setThreads(threads);
         *cycles = interp.run();
         return sim::archState(sp);
     };
     uint64_t jacobiCycles = 0;
-    auto jacobi = interpret(sim::Engine::Jacobi, 1, &jacobiCycles);
+    auto jacobi = interpret(sim::Engine::Jacobi, &jacobiCycles);
     // Registers i, acc0, acc1: S really turns on inside the loop.
     EXPECT_EQ(jacobi, (std::vector<std::vector<uint64_t>>{{6}, {180}, {180}}));
-    for (unsigned threads : {1u, 2u, 4u}) {
-        uint64_t cycles = 0;
-        auto state = interpret(sim::Engine::Levelized, threads, &cycles);
-        EXPECT_EQ(jacobiCycles, cycles) << "interpreter x" << threads;
-        EXPECT_EQ(jacobi, state) << "interpreter x" << threads;
-    }
+    uint64_t cycles = 0;
+    auto state = interpret(sim::Engine::Levelized, &cycles);
+    EXPECT_EQ(jacobiCycles, cycles) << "interpreter";
+    EXPECT_EQ(jacobi, state) << "interpreter";
 
-    // Lowered: scalar, partitioned and batch lane-tile walks.
+    // Lowered: the scalar walk and the batch lane-tile walk.
     Context ctx = sharedGuardSccProgram();
     passes::runPipeline(ctx, "all");
-    auto run = [&](sim::Engine engine, unsigned threads, uint64_t *cycles) {
+    auto run = [&](sim::Engine engine, uint64_t *cycles) {
         sim::SimProgram sp(ctx, "main");
         sim::CycleSim cs(sp, engine);
-        cs.state().setThreads(threads);
         *cycles = cs.run();
         EXPECT_EQ(*sp.findModel("acc0")->registerValue(), 180u);
         EXPECT_EQ(*sp.findModel("acc1")->registerValue(), 180u);
         return sim::archState(sp);
     };
-    auto lowered = run(sim::Engine::Jacobi, 1, &jacobiCycles);
-    for (unsigned threads : {1u, 2u, 4u}) {
-        uint64_t cycles = 0;
-        auto state = run(sim::Engine::Levelized, threads, &cycles);
-        EXPECT_EQ(jacobiCycles, cycles) << "lowered x" << threads;
-        EXPECT_EQ(lowered, state) << "lowered x" << threads;
-    }
+    auto lowered = run(sim::Engine::Jacobi, &jacobiCycles);
+    state = run(sim::Engine::Levelized, &cycles);
+    EXPECT_EQ(jacobiCycles, cycles) << "lowered";
+    EXPECT_EQ(lowered, state) << "lowered";
 
     // No memories, so the flattened arch state is the register slots.
     std::vector<uint64_t> regs;
     for (const auto &slot : lowered)
         regs.push_back(slot.at(0));
     sim::SimProgram sp(ctx, "main");
+    // One-lane tiles: with two threads the three stimuli run as three
+    // concurrent tiles, each walking its own guard memo plane.
     for (unsigned threads : {1u, 2u}) {
         sim::BatchOptions opts;
         opts.engine = sim::Engine::Levelized;
+        opts.laneTile = 1;
         opts.threads = threads;
         auto lanes = sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
         for (const sim::LaneResult &r : lanes) {

@@ -179,6 +179,46 @@ TEST(JsonNetlist, LoaderRejectsMalformedDocuments)
                   "signature": [{"name": "x", "width": 8, "dir": "in"}],
                   "cells": [], "assignments": []}]})"),
         Error);
+    // Widths outside [1, 64] are rejected before they are narrowed, at
+    // every width the loader reads: a 0-wide port, a port of 2^32 + 1
+    // bits, a register of 2^32 + 32 bits, an extern port and a
+    // constant of 2^32 + 1 bits. So is a constant of 2^64 + 5.
+    auto doc = [](const std::string &externs, const std::string &sig,
+                  const std::string &cells, const std::string &assigns) {
+        return R"({"format": "calyx-netlist", "version": 1,
+                   "entrypoint": "main", "extern_primitives": [)" +
+               externs + R"(], "components": [{"name": "main",
+                   "signature": [)" +
+               sig + R"(], "cells": [)" + cells +
+               R"(], "assignments": [)" + assigns + "]}]}";
+    };
+    const std::string reg =
+        R"({"name": "r", "type": "std_reg", "params": [64]})";
+    auto assign = [](const std::string &width, const std::string &value) {
+        return R"({"dst": {"kind": "cell", "cell": "r", "port": "in"},
+                   "src": {"kind": "const", "width": )" +
+               width + R"(, "value": )" + value + "}}";
+    };
+    EXPECT_NO_THROW(loadJsonNetlist(doc("", "", reg, assign("64", "5"))));
+    for (const std::string &bad : {
+             doc("", R"({"name": "x", "width": 0, "dir": "input"})", "",
+                 ""),
+             doc("",
+                 R"({"name": "x", "width": 4294967297, "dir": "input"})",
+                 "", ""),
+             doc("", "",
+                 R"({"name": "r", "type": "std_reg",
+                     "params": [4294967328]})",
+                 ""),
+             doc(R"({"name": "ext", "file": "ext.sv", "params": [],
+                     "ports": [{"name": "o", "dir": "output",
+                                "width": 4294967297}]})",
+                 "", "", ""),
+             doc("", "", reg, assign("4294967297", "1")),
+             doc("", "", reg, assign("64", "18446744073709551621")),
+         }) {
+        EXPECT_THROW(loadJsonNetlist(bad), Error) << bad;
+    }
 }
 
 } // namespace

@@ -132,6 +132,27 @@ component main() -> () {
 }
 )"),
                  Error);
+    // Widths outside [1, 64] and decimals past 64 bits are rejected
+    // before they are narrowed, not wrapped: a 0-wide port, a port of
+    // 2^32 + 1 bits (which used to become 1 bit), a register of 2^32 +
+    // 32 bits (which used to become 32 bits), a constant width of
+    // 2^32 + 1, and a literal of 2^64 + 5 (which used to read as 5).
+    for (const char *bad : {
+             "component main(x: 0) -> () { cells { } wires { } "
+             "control { } }",
+             "component main(x: 4294967297) -> () { cells { } wires { } "
+             "control { } }",
+             "component main() -> () { cells { r = std_reg(4294967328); } "
+             "wires { } control { } }",
+             "component main() -> () { cells { r = std_reg(64); } "
+             "wires { group g { r.in = 4294967297'd1; g[done] = r.done; } }"
+             " control { g; } }",
+             "component main() -> () { cells { r = std_reg(64); } "
+             "wires { group g { r.in = 64'd18446744073709551621; "
+             "g[done] = r.done; } } control { g; } }",
+         }) {
+        EXPECT_THROW(Parser::parseProgram(bad), Error) << bad;
+    }
 }
 
 TEST(Parser, RoundTripThroughPrinter)

@@ -236,8 +236,8 @@ TEST(SimEdge, DeepGuardUsesHeapScratch)
     // (sexprInlineDepth) used to overflow a fixed 64-slot buffer with
     // no bound check; guards now carry their compile-time max depth and
     // fall back to heap scratch. The levelized engine evaluates the same
-    // guard through the guard DAG's explicit stack on every walk:
-    // scalar, partitioned, and the batch lane tile.
+    // guard through the guard DAG's explicit stack on both its walks:
+    // scalar and the batch lane tile.
     Context ctx;
     Component &comp = ctx.addComponent("main");
     comp.addCell("f", "std_reg", {1}, ctx);
@@ -252,26 +252,22 @@ TEST(SimEdge, DeepGuardUsesHeapScratch)
     assigns.emplace_back(thisPort("done"), cellPort("x", "done"));
 
     sim::SimProgram sp(ctx, "main");
-    const std::pair<sim::Engine, unsigned> runs[] = {
-        {sim::Engine::Jacobi, 1},
-        {sim::Engine::Levelized, 1},
-        {sim::Engine::Levelized, 2},
-    };
-    for (auto [engine, threads] : runs) {
+    for (sim::Engine engine : {sim::Engine::Jacobi, sim::Engine::Levelized}) {
         sim::SimState st(sp, engine);
-        st.setThreads(threads);
         st.reset();
         st.beginCycle();
         st.activate(sp.root().continuous);
         EXPECT_NO_THROW(st.comb());
         // f resets to 0, so every !f.out conjunct is true.
-        EXPECT_EQ(st.value("x.in"), 7u)
-            << sim::engineName(engine) << " x" << threads;
+        EXPECT_EQ(st.value("x.in"), 7u) << sim::engineName(engine);
     }
 
+    // One-lane tiles: with two threads the three stimuli run as three
+    // concurrent tiles, each walking its own guard memo plane.
     for (unsigned threads : {1u, 2u}) {
         sim::BatchOptions opts;
         opts.engine = sim::Engine::Levelized;
+        opts.laneTile = 1;
         opts.threads = threads;
         auto results =
             sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);

@@ -46,9 +46,9 @@
  *                            the zero-initialized design
  *     --stimuli <file>       JSON stimulus batch ({"batch": [...]},
  *                            serve/protocol.h schema) for --batch
- *     --threads <N>          worker threads: partitioned single-
- *                            stimulus simulation, batched simulation,
- *                            and parallel per-component pass execution
+ *     --threads <N>          worker threads for --batch and --serve:
+ *                            independent batch tiles spread over them
+ *                            (requires --batch, --stimuli or --serve)
  *     --lane-tile <N>        widest compiled tile, in lanes (default
  *                            16; short batch tails run scalar)
  *     --serve                stimulus-stream service: read
@@ -144,9 +144,8 @@ usage()
         << " (default levelized)\n"
            "  --batch <N>            batched simulation of N stimuli\n"
            "  --stimuli <file>       JSON stimulus batch for --batch\n"
-           "  --threads <N>          worker threads: partitioned --sim,\n"
-           "                         batch lanes, and per-component\n"
-           "                         passes (default 1)\n"
+           "  --threads <N>          worker threads for --batch/--serve\n"
+           "                         tiles (default 1)\n"
            "  --lane-tile <N>        widest compiled tile, in lanes\n"
            "                         (default 16)\n"
            "  --serve                stimulus-stream service on\n"
@@ -235,6 +234,7 @@ main(int argc, char **argv)
     bool serve = false;
     uint64_t batch = 0; ///< 0 = scalar simulation.
     unsigned threads = 1;
+    bool threads_set = false;
     uint32_t lane_tile = 0; ///< 0 = BatchOptions default.
     std::string stimuli_file;
     calyx::passes::RunOptions run_options;
@@ -358,6 +358,7 @@ main(int argc, char **argv)
                 std::cerr << "error: --threads wants a positive count\n";
                 return 2;
             }
+            threads_set = true;
         } else if (a == "--lane-tile") {
             if (++i >= args.size())
                 return usage();
@@ -380,6 +381,14 @@ main(int argc, char **argv)
     }
     if (file.empty())
         return usage();
+    if (threads_set && batch == 0 && stimuli_file.empty() && !serve) {
+        // Threads only spread independent batch tiles; a single
+        // stimulus always runs one serial walk.
+        std::cerr << "error: --threads needs --batch, --stimuli or "
+                     "--serve (a single-stimulus --sim runs on one "
+                     "thread)\n";
+        return 2;
+    }
 
     std::ifstream in(file);
     if (!in) {
@@ -437,7 +446,6 @@ main(int argc, char **argv)
         // The profile envelope embeds the compile section, so collect
         // stats whenever either consumer wants them.
         run_options.collectStats = timings || !profile_file.empty();
-        run_options.threads = threads;
 
         calyx::Context ctx =
             calyx::Parser::parseProgram(buffer.str());
@@ -629,12 +637,10 @@ main(int argc, char **argv)
             uint64_t cycles;
             if (sp.hasGroups()) {
                 calyx::sim::Interp interp(sp, sim_engine);
-                interp.state().setThreads(threads);
                 attach(interp.state());
                 cycles = interp.run();
             } else {
                 calyx::sim::CycleSim cs(sp, sim_engine);
-                cs.state().setThreads(threads);
                 attach(cs.state());
                 cycles = cs.run();
             }
