@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Compiled-engine smoke test: run `futil --sim --sim-engine=compiled`
-# twice over every textual example and check that (1) the cycle counts
-# match the levelized engine, and (2) the second run services every
+# three times over every textual example and check that (1) the cycle
+# counts match the levelized engine, (2) the second run services every
 # module from the on-disk cache — no new files may appear in the cache
 # directory, proving the content-addressed digest is stable and the JIT
-# is skipped.
+# is skipped — and (3) a third, traced run (`--trace`) keeps the cycle
+# counts and adds no files either: observers read the same module.
 #
 # Skips (exit 0) when no host C++ compiler is available, since the
 # compiled engine is an optional acceleration, not a requirement.
@@ -46,8 +47,9 @@ failures=0
 
 run_all() {
     # Prints "example cycles" per line; empty cycle field on failure.
+    # Extra arguments are passed to every futil run.
     for example in $examples; do
-        cycles=$("$futil" --sim --sim-engine=compiled "$example" \
+        cycles=$("$futil" --sim --sim-engine=compiled "$@" "$example" \
                      2>/tmp/compiled_smoke_err | awk '{ print $2 }')
         if [ -z "$cycles" ]; then
             echo "FAIL $example --sim-engine=compiled" >&2
@@ -90,8 +92,24 @@ else
     echo "ok   cached rerun added no files ($after in $cache)"
 fi
 
+# Third pass: traced. The trace must not need a module of its own.
+trace=$(mktemp /tmp/compiled_smoke_trace.XXXXXX)
+third=$(run_all --trace "$trace")
+traced=$(ls "$cache" | wc -l)
+rm -f "$trace"
+if [ "$first" != "$third" ]; then
+    echo "FAIL: traced run disagrees with the first" >&2
+    failures=$((failures + 1))
+fi
+if [ "$traced" -ne "$after" ]; then
+    echo "FAIL: traced run changed the cache dir ($after -> $traced files)" >&2
+    failures=$((failures + 1))
+else
+    echo "ok   traced run added no files ($traced in $cache)"
+fi
+
 if [ $failures -ne 0 ]; then
     echo "compiled_smoke: $failures failure(s)" >&2
     exit 1
 fi
-echo "compiled_smoke: all examples ran compiled and cached"
+echo "compiled_smoke: all examples ran compiled, cached and traced"

@@ -67,8 +67,7 @@ struct Codegen
     uint32_t L = 1; ///< Stimulus lanes (CppSimOptions::lanes).
 
     std::vector<std::vector<const SAssign *>> drivers;
-    std::vector<Prim> prims;
-    std::unordered_map<const sim::PrimModel *, const Prim *> primOfModel;
+    std::vector<Prim> prims; ///< In SimProgram::models() order.
 
     std::vector<uint8_t> computed; ///< eval() (or reset()) writes it.
     std::vector<uint8_t> folded;   ///< Compile-time constant.
@@ -176,31 +175,14 @@ rejectGroups(const SimProgram::Instance &inst)
         rejectGroups(*sub);
 }
 
-/**
- * Visit primitive cells in exactly the order SimProgram::buildInstance
- * creates their models: component cell order, recursing into
- * sub-instances in place.
- */
-void
-walkPrims(const SimProgram::Instance &inst,
-          const std::function<void(const Cell &, const std::string &)> &fn)
-{
-    size_t sub = 0;
-    for (const auto &cell : inst.comp->cells()) {
-        if (cell->isPrimitive())
-            fn(*cell, inst.path + cell->name().str());
-        else
-            walkPrims(*inst.subs[sub++], fn);
-    }
-}
-
 void
 collectPrims(Codegen &cg)
 {
-    walkPrims(cg.prog.root(), [&](const Cell &cell, const std::string &path) {
+    for (const SimProgram::ModelCell &mc : cg.prog.modelCells()) {
+        const Cell &cell = *mc.cell;
         Prim p;
         p.cell = &cell;
-        p.path = path;
+        p.path = mc.path.str();
         p.model = cg.prims.size();
         const std::string &t = cell.type().str();
         if (t == "std_reg") {
@@ -215,14 +197,6 @@ collectPrims(Codegen &cg)
                 p.memSize *= d;
         }
         cg.prims.push_back(std::move(p));
-    });
-    const auto &models = cg.prog.models();
-    if (models.size() != cg.prims.size())
-        panic("cppsim: primitive walk does not match model list");
-    for (const Prim &p : cg.prims) {
-        if (cg.prog.findModel(p.path) != models[p.model].get())
-            panic("cppsim: model order mismatch at " + p.path);
-        cg.primOfModel[models[p.model].get()] = &p;
     }
 }
 
@@ -520,8 +494,8 @@ std::string
 portExpr(const Codegen &cg, uint32_t port)
 {
     std::string expr;
-    if (const sim::PrimModel *m = cg.sched.modelOf(port))
-        expr = modelOutExpr(cg, *cg.primOfModel.at(m), port);
+    if (int32_t m = cg.sched.modelOf(port); m >= 0)
+        expr = modelOutExpr(cg, cg.prims[m], port);
     else
         expr = "0ull";
     const auto &ds = cg.drivers[port];
@@ -606,8 +580,8 @@ portValueStmts(const Codegen &cg, uint32_t port, const std::string &var,
     }
 
     std::string base;
-    if (const sim::PrimModel *m = cg.sched.modelOf(port))
-        base = modelOutExpr(cg, *cg.primOfModel.at(m), port);
+    if (int32_t m = cg.sched.modelOf(port); m >= 0)
+        base = modelOutExpr(cg, cg.prims[m], port);
     else
         base = "0ull";
 
@@ -672,10 +646,10 @@ foldConstants(Codegen &cg)
                 cg.foldedVal[p] = cg.foldedVal[a->srcPort];
             }
         } else if (ds.empty()) {
-            const sim::PrimModel *m = cg.sched.modelOf(p);
-            if (!m)
+            int32_t m = cg.sched.modelOf(p);
+            if (m < 0)
                 continue;
-            const Prim &prim = *cg.primOfModel.at(m);
+            const Prim &prim = cg.prims[m];
             if (prim.cell->type() == "std_const") {
                 cg.folded[p] = 1;
                 cg.foldedVal[p] = truncate(prim.cell->params()[1],
@@ -1080,11 +1054,6 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
     rejectGroups(prog.root());
     if (opts.lanes == 0)
         fatal("cppsim: lanes must be >= 1");
-    if (opts.probe && opts.lanes > 1) {
-        fatal("cppsim: probe observers are single-stimulus; a lane "
-              "module (lanes=", opts.lanes,
-              ") cannot carry one (see docs/simulation.md)");
-    }
 
     Codegen cg(prog);
     cg.L = opts.lanes;
@@ -1099,7 +1068,7 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
 
     cg.computed.assign(cg.numPorts, 0);
     for (uint32_t p = 0; p < cg.numPorts; ++p) {
-        if (!cg.drivers[p].empty() || cg.sched.modelOf(p))
+        if (!cg.drivers[p].empty() || cg.sched.modelOf(p) >= 0)
             cg.computed[p] = 1;
     }
     foldConstants(cg);
@@ -1190,10 +1159,6 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
     }
     os << stateMembers(cg);
     os << "  const char *err;\n  char errbuf[192];\n";
-    if (opts.probe) {
-        os << "  void (*probe)(void *, const uint64_t *);\n"
-              "  void *probeCtx;\n";
-    }
     os << "};\n\n";
 
     if (has_sqrt) {
@@ -1255,17 +1220,9 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
     os << "  uint64_t *mems[kNumMems ? kNumMems : 1];\n";
     os << "  memcpy(regs, s->regs, sizeof regs);\n";
     os << "  memcpy(mems, s->mems, sizeof mems);\n";
-    if (opts.probe) {
-        os << "  void (*probe)(void *, const uint64_t *) = s->probe;\n";
-        os << "  void *probeCtx = s->probeCtx;\n";
-    }
     os << "  memset(s, 0, sizeof *s);\n";
     os << "  memcpy(s->regs, regs, sizeof regs);\n";
     os << "  memcpy(s->mems, mems, sizeof mems);\n";
-    if (opts.probe) {
-        os << "  s->probe = probe;\n";
-        os << "  s->probeCtx = probeCtx;\n";
-    }
     os << "  // Constant-folded ports, written once instead of per eval.\n";
     if (cg.L == 1) {
         for (uint32_t p = 0; p < cg.numPorts; ++p) {
@@ -1315,21 +1272,9 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
           "}\n";
     os << "void cppsim_reset(void *s, uint64_t *vals) {\n"
           "  cppsim_do_reset((CppsimInst *)s, vals);\n}\n";
-    if (opts.probe) {
-        os << "void cppsim_set_probe(void *vs, "
-              "void (*fn)(void *, const uint64_t *), void *ctx) {\n"
-              "  CppsimInst *s = (CppsimInst *)vs;\n"
-              "  s->probe = fn;\n  s->probeCtx = ctx;\n}\n";
-        os << "void cppsim_eval(void *vs, uint64_t *vals) {\n"
-              "  CppsimInst *s = (CppsimInst *)vs;\n"
-              "  if (s->err) return;\n"
-              "  cppsim_eval_all(s, vals);\n"
-              "  if (!s->err && s->probe) s->probe(s->probeCtx, vals);\n}\n";
-    } else {
-        os << "void cppsim_eval(void *s, uint64_t *vals) {\n"
-              "  if (((CppsimInst *)s)->err) return;\n"
-              "  cppsim_eval_all((CppsimInst *)s, vals);\n}\n";
-    }
+    os << "void cppsim_eval(void *s, uint64_t *vals) {\n"
+          "  if (((CppsimInst *)s)->err) return;\n"
+          "  cppsim_eval_all((CppsimInst *)s, vals);\n}\n";
     os << "void cppsim_clock(void *s, uint64_t *vals) {\n"
           "  if (((CppsimInst *)s)->err) return;\n"
           "  cppsim_clk_all((CppsimInst *)s, vals);\n}\n";

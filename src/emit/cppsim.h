@@ -38,22 +38,13 @@ class CppSimBackend : public Backend
 };
 
 /**
- * Codegen knobs for emitCppSim. Three module shapes come out of it:
- * the scalar module (the defaults), its probed variant, and lane
- * modules. Each is its own source, and so its own JIT cache entry.
+ * Codegen knobs for emitCppSim. Lane width is the only variant: the
+ * scalar module (the default) and one lane module per width, each its
+ * own source and so its own JIT cache entry. Observers need no variant
+ * of their own: they read the scalar module's `vals` after eval().
  */
 struct CppSimOptions
 {
-    /**
-     * Emit the observability variant: the instance carries a probe
-     * callback slot (installed via `cppsim_set_probe`), and eval()
-     * ends by invoking it with the settled port array. Off by default
-     * so the hot path stays branch-free; the JIT driver keeps probed
-     * and plain modules as distinct cache entries (different source,
-     * different digest). See docs/observability.md.
-     */
-    bool probe = false;
-
     /**
      * Number of stimulus lanes the module advances per eval()/clock()
      * call. 1 (the default) emits exactly the classic scalar module.
@@ -64,9 +55,9 @@ struct CppSimOptions
      * sets. Per-lane primitive state lives behind the same bind()
      * pointers: each register slot points at a `uint64_t[kLanes]`
      * array and each memory slot at a lane-major
-     * `uint64_t[kLanes * size]` block. Lane modules reject `probe`
-     * (observers are inherently single-stimulus; see
-     * docs/simulation.md "Batched & parallel execution").
+     * `uint64_t[kLanes * size]` block. Observers never see a lane
+     * module (they follow one stimulus; see docs/simulation.md
+     * "Batched & parallel execution").
      */
     uint32_t lanes = 1;
 };

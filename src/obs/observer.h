@@ -6,17 +6,13 @@
 namespace calyx::obs {
 
 /**
- * Simulation probe interface (docs/observability.md). Observers attach
- * to a sim::SimState (SimState::addObserver) and are fed by every
- * combinational engine:
- *
- *  - jacobi / levelized: SimState::comb() notifies directly after the
- *    network settles.
- *  - compiled: the generated module is built with a probe callback
- *    (emit/cppsim.h, CppSimOptions::probe) that fires at the end of
- *    its eval(); SimState routes it back here. The probe is emitted
- *    only when observers are attached, so an unobserved compiled run
- *    executes the exact branch-free module it always did.
+ * Simulation observer interface (docs/observability.md). Observers
+ * attach to a scalar sim::SimState (SimState::addObserver), at any
+ * cycle, and are fed by every combinational engine the same way:
+ * SimState::comb() notifies them once the state's `vals` have settled,
+ * whether the jacobi or levelized walk computed them or the compiled
+ * engine's generated eval() wrote them. The compiled engine runs the
+ * same module observed or not.
  *
  * All hooks observe the same dense `vals[]` port array the engines
  * share (ids from SimProgram::portId), so an observer written against

@@ -1,33 +1,14 @@
 #include "sim/batch.h"
 
 #include <algorithm>
-#include <functional>
-#include <queue>
-#include <unordered_map>
 
 #include "sim/compiled.h"
+#include "sim/cycle_sim.h"
 #include "sim/models.h"
-#include "sim/schedule.h"
 #include "support/error.h"
 #include "support/pool.h"
 
 namespace calyx::sim {
-
-/**
- * Everything the levelized lane engine resolves once per runner:
- * static driver lists (batched programs are fully lowered, so the
- * activation set is always the full continuous set — exactly what
- * CycleSim activates), the model index behind each port, and the
- * stateful models that seed the next cycle's event queue.
- */
-struct BatchRunner::LevelizedPlan
-{
-    const SimSchedule *sched = nullptr;
-    std::vector<std::vector<const SAssign *>> activeByPort;
-    std::vector<int32_t> portModelIdx; ///< models() index or -1.
-    std::vector<size_t> statefulIdx;   ///< models() index per stateful.
-    uint32_t goPort = 0, donePort = 0, numPorts = 0;
-};
 
 BatchRunner::BatchRunner(const SimProgram &program, const BatchOptions &o)
     : prog(&program), opts(o)
@@ -46,48 +27,25 @@ BatchRunner::BatchRunner(const SimProgram &program, const BatchOptions &o)
     if (opts.threads == 0)
         fatal("batched simulation: thread count must be >= 1");
 
-    // Stateful slot maps in model order — the same walk order the
-    // compiled module's register/memory slots use (emit/cppsim.cc).
-    auto paths = prog->modelPaths();
+    // Stateful slot maps in model order, which the compiled module's
+    // register/memory slots follow too (emit/cppsim.cc).
     const auto &models = prog->models();
     for (size_t i = 0; i < models.size(); ++i) {
+        const std::string &path = prog->modelCells()[i].path.str();
         if (models[i]->registerValue()) {
             regModelIdx.push_back(i);
-            regPathList.push_back(paths[i].str());
+            regPathList.push_back(path);
         } else if (const auto *mem = models[i]->memory()) {
-            memSlotByPath[paths[i].str()] = memModelIdx.size();
+            memSlotByPath[path] = memModelIdx.size();
             memModelIdx.push_back(i);
-            memPathList.push_back(paths[i].str());
+            memPathList.push_back(path);
             memSizes.push_back(mem->size());
         }
     }
 
     // Build the schedule now, on the caller: tiles run on pool threads
     // and must only ever read it.
-    const SimSchedule &sched = prog->schedule();
-
-    if (opts.engine == Engine::Levelized) {
-        plan = std::make_unique<LevelizedPlan>();
-        plan->sched = &sched;
-        plan->numPorts = static_cast<uint32_t>(prog->numPorts());
-        plan->goPort = prog->root().goPort;
-        plan->donePort = prog->root().donePort;
-        plan->activeByPort.resize(plan->numPorts);
-        prog->forEachAssignment([&](const SAssign &a, bool continuous) {
-            if (continuous)
-                plan->activeByPort[a.dst].push_back(&a);
-        });
-        std::unordered_map<const PrimModel *, int32_t> idxOf;
-        for (size_t i = 0; i < models.size(); ++i)
-            idxOf[models[i].get()] = static_cast<int32_t>(i);
-        plan->portModelIdx.assign(plan->numPorts, -1);
-        for (uint32_t p = 0; p < plan->numPorts; ++p) {
-            if (const PrimModel *m = sched.modelOf(p))
-                plan->portModelIdx[p] = idxOf.at(m);
-        }
-        for (const PrimModel *m : sched.statefulModels())
-            plan->statefulIdx.push_back(idxOf.at(m));
-    }
+    prog->schedule();
 }
 
 BatchRunner::~BatchRunner() = default;
@@ -100,7 +58,7 @@ BatchRunner::moduleFor(uint32_t lanes)
         return it->second;
     // One lane is the scalar module: the same digest, and so the same
     // cached object, as SimProgram::compiledModule().
-    auto mod = CompiledModule::load(*prog, /*probe=*/false, lanes);
+    auto mod = CompiledModule::load(*prog, lanes);
     ++loads;
     allFromCache = allFromCache && mod->fromCache();
     modules.emplace(lanes, mod);
@@ -240,217 +198,51 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
                               size_t start, size_t count,
                               std::vector<LaneResult> &out)
 {
-    const LevelizedPlan &P = *plan;
-    const SimSchedule &sched = *P.sched;
-    const uint32_t np = P.numPorts;
-    const size_t K = count;
-
-    // Lane-major value planes: lane l owns the contiguous slice
-    // [l*np, (l+1)*np), so GuardDag::eval and PrimModel::evalComb run
-    // verbatim on the lane's base pointer.
-    std::vector<uint64_t> vals(size_t(np) * K, 0);
-    std::vector<uint64_t> tmp(size_t(np) * K, 0);
-
-    // Private model set per lane: stateful storage behind the ordinary
-    // PrimModel interface, disjoint across lanes.
-    std::vector<std::vector<std::unique_ptr<PrimModel>>> models(K);
-    for (size_t l = 0; l < K; ++l) {
-        models[l] = prog->newModelSet();
-        for (auto &m : models[l])
-            m->reset();
+    // One private model set per lane, seeded with its stimulus.
+    std::vector<SimState::ModelSet> sets(count);
+    for (size_t l = 0; l < count; ++l) {
+        sets[l] = prog->newModelSet();
         auto imgs = seedImages(batch[start + l]);
-        for (size_t mi = 0; mi < memModelIdx.size(); ++mi) {
-            if (imgs[mi].empty())
-                continue;
-            std::vector<uint64_t> *dst =
-                models[l][memModelIdx[mi]]->memory();
-            std::copy(imgs[mi].begin(), imgs[mi].end(), dst->begin());
+        for (size_t m = 0; m < memModelIdx.size(); ++m) {
+            if (!imgs[m].empty())
+                *sets[l][memModelIdx[m]]->memory() = std::move(imgs[m]);
         }
     }
+    SimState st(*prog, std::move(sets));
 
-    std::vector<char> alive(K, 1), goVal(K, 1);
-    size_t liveCount = K;
-
-    // One dirty-node queue shared by every lane (the union of the
-    // lanes' dirty cones). Re-evaluating a node whose inputs did not
-    // change in some lane is idempotent there, so each lane still
-    // follows its exact scalar trajectory.
-    const size_t numNodes = sched.nodes().size();
-    std::vector<char> inQueue(numNodes, 0);
-    std::priority_queue<uint32_t, std::vector<uint32_t>,
-                        std::greater<uint32_t>>
-        queue;
-    auto markDirty = [&](uint32_t port) {
-        uint32_t n = sched.nodeOf(port);
-        if (!inQueue[n]) {
-            inQueue[n] = 1;
-            queue.push(n);
-        }
-    };
-    for (uint32_t n = 0; n < numNodes; ++n) {
-        inQueue[n] = 1;
-        queue.push(n);
-    }
-
-    // Guard memos, one per lane: lanes have their own values.
-    const GuardDag &dag = prog->guardDag();
-    std::vector<GuardMemo> memos(K, GuardMemo(dag.nodes.size()));
-
-    // Driver priority mirrors SimState::evalPort: active assignment
-    // beats the go force beats model output beats zero.
-    auto evalPort = [&](size_t l, uint32_t p, bool check,
-                        bool memoize) -> uint64_t {
-        uint64_t *base = vals.data() + l * np;
-        const SAssign *winner = nullptr;
-        for (const SAssign *a : P.activeByPort[p]) {
-            if (!dag.eval(a->guardRoot, base, memos[l], memoize))
-                continue;
-            if (winner && check) {
-                fatal("multiple active drivers for port ",
-                      prog->portName(p), ":\n  ",
-                      prog->assignDesc(winner->id), "\n  ",
-                      prog->assignDesc(a->id));
-            }
-            winner = a;
-        }
-        if (winner)
-            return winner->srcConst ? winner->srcValue
-                                    : base[winner->srcPort];
-        if (p == P.goPort)
-            return goVal[l] ? 1 : 0;
-        int32_t mi = P.portModelIdx[p];
-        if (mi >= 0) {
-            uint64_t *tb = tmp.data() + l * np;
-            models[l][mi]->evalComb(base, tb);
-            return tb[p];
-        }
-        return 0;
-    };
-
-    std::vector<char> memChanged; // Per-SCC-member any-lane-changed.
-    auto evalNode = [&](uint32_t ni) {
-        const SimSchedule::Node &node = sched.nodes()[ni];
-        const uint32_t *mem = sched.memberPorts().data() + node.first;
-        if (!node.cyclic) {
-            uint32_t p = mem[0];
-            bool changed = false;
-            for (size_t l = 0; l < K; ++l) {
-                if (!alive[l])
-                    continue;
-                uint64_t *base = vals.data() + l * np;
-                uint64_t nv = evalPort(l, p, true, true);
-                if (nv != base[p]) {
-                    base[p] = nv;
-                    changed = true;
-                }
-            }
-            if (changed) {
-                for (const uint32_t *q = sched.fanoutBegin(p),
-                                    *e = sched.fanoutEnd(p);
-                     q != e; ++q)
-                    markDirty(*q);
-            }
-            return;
-        }
-
-        // Non-trivial SCC: per-lane bounded Gauss-Seidel fixed point,
-        // the exact sweep SimState::evalNode runs.
-        memChanged.assign(node.count, 0);
-        for (size_t l = 0; l < K; ++l) {
-            if (!alive[l])
-                continue;
-            uint64_t *base = vals.data() + l * np;
-            bool changed = true;
-            int iter = 0;
-            while (changed) {
-                if (++iter > maxCombPasses) {
-                    std::string ports;
-                    for (uint32_t i = 0; i < node.count; ++i) {
-                        if (!ports.empty())
-                            ports += ", ";
-                        ports += prog->portName(mem[i]);
-                    }
-                    fatal("combinational cycle did not settle after ",
-                          maxCombPasses,
-                          " iterations; ports on the cycle: ", ports);
-                }
-                changed = false;
-                for (uint32_t i = 0; i < node.count; ++i) {
-                    uint32_t p = mem[i];
-                    uint64_t nv = evalPort(l, p, false, false);
-                    if (nv != base[p]) {
-                        base[p] = nv;
-                        memChanged[i] = 1;
-                        changed = true;
-                    }
-                }
-            }
-            for (uint32_t i = 0; i < node.count; ++i) {
-                // Settled conflict re-check.
-                evalPort(l, mem[i], true, false);
-            }
-        }
-        for (uint32_t i = 0; i < node.count; ++i) {
-            if (!memChanged[i])
-                continue;
-            uint32_t p = mem[i];
-            for (const uint32_t *q = sched.fanoutBegin(p),
-                                *e = sched.fanoutEnd(p);
-                 q != e; ++q) {
-                if (sched.nodeOf(*q) != ni)
-                    markDirty(*q);
-            }
-        }
-    };
-
-    const auto &stateful = sched.statefulModels();
+    // CycleSim::run's loop, with done sampled and acted on per lane.
+    const SimProgram::Instance &top = prog->root();
+    std::vector<uint32_t> done;
+    size_t live = count;
     uint64_t cycles = 0;
-    while (liveCount) {
+    st.reset();
+    while (live) {
         if (++cycles > opts.maxCycles) {
             fatal("batched simulation exceeded ", opts.maxCycles,
-                  " cycles with ", liveCount, " of ", K,
+                  " cycles with ", live, " of ", count,
                   " lanes unfinished");
         }
-        for (GuardMemo &m : memos)
-            m.beginCycle();
-        while (!queue.empty()) {
-            uint32_t n = queue.top();
-            queue.pop();
-            inQueue[n] = 0;
-            evalNode(n);
+        st.beginCycle();
+        st.force(top.goPort, 1);
+        activateContinuous(st, top);
+        st.comb();
+        done.clear();
+        for (uint32_t l = 0; l < count; ++l) {
+            if (st.laneLive(l) && (st.laneValue(l, top.donePort) & 1))
+                done.push_back(l);
         }
-        for (size_t l = 0; l < K; ++l) {
-            if (!alive[l])
-                continue;
-            uint64_t *base = vals.data() + l * np;
-            bool done = base[P.donePort] & 1;
-            for (auto &m : models[l])
-                m->clock(base);
-            // Seed the next cycle's queue from stateful outputs that
-            // moved at the edge (union over lanes).
-            uint64_t *tb = tmp.data() + l * np;
-            for (size_t i = 0; i < stateful.size(); ++i) {
-                models[l][P.statefulIdx[i]]->evalComb(base, tb);
-                for (uint32_t o : sched.statefulOutputs(i)) {
-                    if (tb[o] != base[o])
-                        markDirty(o);
-                }
-            }
-            if (!done)
-                continue;
-            // Retire this lane; dead lanes are skipped everywhere, so
-            // no propagation of the dropped go is needed.
-            alive[l] = 0;
-            goVal[l] = 0;
-            --liveCount;
+        st.clock();
+        for (uint32_t l : done) {
+            // Retire with the post-edge state a scalar run returns.
+            st.retire(l);
+            --live;
+            const SimState::ModelSet &models = st.laneModels(l);
             LaneResult &r = out[start + l];
             r.cycles = cycles;
-            r.regs.reserve(regModelIdx.size());
             for (size_t idx : regModelIdx)
-                r.regs.push_back(*models[l][idx]->registerValue());
-            r.mems.reserve(memModelIdx.size());
+                r.regs.push_back(*models[idx]->registerValue());
             for (size_t idx : memModelIdx)
-                r.mems.push_back(*models[l][idx]->memory());
+                r.mems.push_back(*models[idx]->memory());
         }
     }
 }

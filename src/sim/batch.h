@@ -75,30 +75,34 @@ struct BatchOptions
  * Port values become lane arrays: the compiled engine runs a lane
  * module whose generated statements loop over a dense SoA plane
  * (`vals[port * lanes + lane]`, emit/cppsim.h CppSimOptions::lanes);
- * the levelized engine walks one shared dirty-node schedule over
- * lane-major value slices, with a private PrimModel set per lane for
- * stateful storage. Either way one walk of the Tarjan-condensed
- * schedule advances every lane in the tile.
+ * a levelized tile is one K-lane SimState (sim/env.h), the scalar
+ * engine's own walk over lane-major value slices, one dirty-node queue
+ * for all lanes, and a private PrimModel set per lane. Either way one
+ * walk of the Tarjan-condensed schedule advances every lane in the
+ * tile.
  *
  * Lane divergence is handled by done-mask retirement: each cycle every
  * live lane evaluates, lanes whose `done` settles high retire
  * independently — their cycle count and architectural state snapshot
  * at exactly the point a scalar CycleSim::run() would return — and
- * their `go` drops so the retired design idles while siblings run on.
+ * they leave the tile while siblings run on (a compiled tile drops
+ * their `go`, a levelized tile retires them from its SimState).
  * Per-lane results are bit-identical to scalar runs by construction;
- * tests/test_batch_sim.cc holds every lane of a batch to that.
+ * tests/test_batch_sim.cc holds every lane of a batch to a scalar run
+ * of the Jacobi oracle.
  *
  * Tiles own disjoint state, so they parallelize over the work-stealing
  * pool (support/pool.h) without locks.
  *
- * A BatchRunner is resident: construction resolves the schedule and the
- * driver tables once, run() loads each compiled module shape (scalar,
- * laneTile-wide) the first time a batch needs it, and every later batch
- * reuses them — the object `futil --serve` keeps alive across requests.
+ * A BatchRunner is resident: construction builds the schedule once, on
+ * the caller, so tiles only read it; run() loads each compiled module
+ * shape (scalar, laneTile-wide) the first time a batch needs it, and
+ * every later batch reuses them — the object `futil --serve` keeps
+ * alive across requests.
  * Construction fatal()s on programs with groups (batching needs
  * fully-lowered programs) and on Engine::Jacobi (the oracle stays
  * scalar); run() fatal()s on anything CompiledModule::load rejects.
- * Observers are rejected by design: batched runs have no probe hookup
+ * Observers are rejected by design: they follow one stimulus
  * (docs/simulation.md, docs/observability.md).
  */
 class BatchRunner
@@ -142,8 +146,6 @@ class BatchRunner
     const BatchOptions &options() const { return opts; }
 
   private:
-    struct LevelizedPlan;
-
     void runCompiledTile(const std::vector<Stimulus> &batch, size_t start,
                          size_t count, uint32_t lanes,
                          const CompiledModule &mod,
@@ -171,8 +173,6 @@ class BatchRunner
     uint64_t loads = 0;
     bool allFromCache = true;
     TileCounts tally;
-
-    std::unique_ptr<LevelizedPlan> plan; ///< Levelized engine only.
 };
 
 /** One-shot convenience over a temporary BatchRunner. */

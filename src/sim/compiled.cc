@@ -328,11 +328,10 @@ compiledEngineUnavailableReason()
 }
 
 std::shared_ptr<CompiledModule>
-CompiledModule::load(const SimProgram &prog, bool probe, uint32_t lanes)
+CompiledModule::load(const SimProgram &prog, uint32_t lanes)
 {
     std::ostringstream src;
     emit::CppSimOptions opts;
-    opts.probe = probe;
     opts.lanes = lanes;
     emit::emitCppSim(prog, src, opts);
     std::string source = src.str();
@@ -417,16 +416,6 @@ CompiledModule::load(const SimProgram &prog, bool probe, uint32_t lanes)
         mod->handle, "cppsim_clock", so);
     mod->fnError = resolveSym<const char *(*)(void *)>(
         mod->handle, "cppsim_error", so);
-    // Optional: only probed modules export it, so plain dlsym rather
-    // than the fatal()ing resolveSym.
-    mod->fnSetProbe = reinterpret_cast<void (*)(
-        void *, void (*)(void *, const uint64_t *), void *)>(
-        dlsym(mod->handle, "cppsim_set_probe"));
-    if (probe && !mod->fnSetProbe) {
-        fatal("compiled engine: ", so,
-              " lacks cppsim_set_probe despite a probed build (stale "
-              "cache object; remove it and rerun)");
-    }
 
     if (mod->ports != prog.numPorts()) {
         fatal("compiled engine: ", so, " was built for ", mod->ports,
@@ -489,15 +478,6 @@ const char *
 CompiledModule::error(void *inst) const
 {
     return fnError(inst);
-}
-
-void
-CompiledModule::setProbe(void *inst, void (*fn)(void *, const uint64_t *),
-                         void *ctx) const
-{
-    if (!fnSetProbe)
-        fatal("compiled engine: setProbe on a probe-free module");
-    fnSetProbe(inst, fn, ctx);
 }
 
 } // namespace calyx::sim

@@ -46,23 +46,17 @@ class CompiledModule
      * toolchain, compiler failure (with the compiler's output), or an
      * ABI/shape mismatch in a loaded object.
      *
-     * `probe` requests the observability variant (emit/cppsim.h,
-     * CppSimOptions::probe): eval() ends with a callback carrying the
-     * settled port values. Probed and plain modules have different
-     * sources, hence different digests and separate cache entries.
-     *
      * `lanes` > 1 requests a lane module (CppSimOptions::lanes): one
      * eval()/clock() advances `lanes` independent stimulus sets over
      * SoA port planes (`vals[port * lanes + lane]`), with per-lane
      * register/memory storage behind bind(). Each lane count is its
-     * own source, digest, and cache entry. Lane modules reject probe.
+     * own source, digest, and cache entry.
      *
      * Every module runs one eval() per settle on the calling thread;
      * threads only ever run whole modules side by side (batch tiles,
      * sim/batch.h), each on its own instance.
      */
     static std::shared_ptr<CompiledModule> load(const SimProgram &prog,
-                                                bool probe = false,
                                                 uint32_t lanes = 1);
 
     ~CompiledModule();
@@ -114,17 +108,6 @@ class CompiledModule
     /** Sticky runtime error (unsettled SCC, OOB write), or nullptr. */
     const char *error(void *inst) const;
 
-    /** True when the module was built with a probe callback slot. */
-    bool hasProbe() const { return fnSetProbe != nullptr; }
-
-    /**
-     * Install the end-of-eval() callback on `inst` (hasProbe() modules
-     * only). `fn(ctx, vals)` fires once per eval() with the settled
-     * port array, after the internal error check.
-     */
-    void setProbe(void *inst, void (*fn)(void *, const uint64_t *),
-                  void *ctx) const;
-
   private:
     CompiledModule() = default;
 
@@ -143,8 +126,6 @@ class CompiledModule
     void (*fnEval)(void *, uint64_t *) = nullptr;
     void (*fnClock)(void *, uint64_t *) = nullptr;
     const char *(*fnError)(void *) = nullptr;
-    void (*fnSetProbe)(void *, void (*)(void *, const uint64_t *),
-                       void *) = nullptr;
 };
 
 /**

@@ -9,15 +9,15 @@ CycleSim::CycleSim(const SimProgram &prog, Engine engine)
 {}
 
 void
-CycleSim::activateRec(const SimProgram::Instance &inst)
+activateContinuous(SimState &state, const SimProgram::Instance &inst)
 {
     if (inst.hasGroups()) {
         fatal("CycleSim requires a fully-compiled program, but component ",
               inst.comp->name(), " still has groups");
     }
-    stateVal.activate(inst.continuous);
+    state.activate(inst.continuous);
     for (const auto &sub : inst.subs)
-        activateRec(*sub);
+        activateContinuous(state, *sub);
 }
 
 uint64_t
@@ -32,7 +32,7 @@ CycleSim::run(uint64_t max_cycles)
             fatal("cycle simulation exceeded ", max_cycles, " cycles");
         stateVal.beginCycle();
         stateVal.force(top.goPort, 1);
-        activateRec(top);
+        activateContinuous(stateVal, top);
         stateVal.comb();
         bool done = stateVal.value(top.donePort) & 1;
         stateVal.clock();

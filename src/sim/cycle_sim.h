@@ -34,11 +34,17 @@ class CycleSim
     const SimState &state() const { return stateVal; }
 
   private:
-    void activateRec(const SimProgram::Instance &inst);
-
     const SimProgram *prog;
     SimState stateVal;
 };
+
+/**
+ * Activate the continuous assignments of `inst` and every instance
+ * below it: a fully-lowered program's whole active set, which every
+ * cycle of a CycleSim run (and of a batch tile) activates. fatal() when
+ * an instance still has groups.
+ */
+void activateContinuous(SimState &state, const SimProgram::Instance &inst);
 
 } // namespace calyx::sim
 

@@ -277,6 +277,9 @@ SimProgram::SimProgram(const Context &ctx, Symbol top)
     rootInst = std::make_unique<Instance>();
     rootInst->path = "";
     buildInstance(*rootInst, ctx.component(top));
+    modelList = newModelSet();
+    for (size_t i = 0; i < modelList.size(); ++i)
+        modelIndex[cellList[i].path] = modelList[i].get();
     buildGuardDag();
 }
 
@@ -393,48 +396,16 @@ SimProgram::findModel(Symbol cell_path) const
     return it->second;
 }
 
-std::vector<Symbol>
-SimProgram::modelPaths() const
-{
-    std::vector<Symbol> out;
-    out.reserve(modelList.size());
-    std::function<void(const Instance &)> walk = [&](const Instance &inst) {
-        size_t sub = 0;
-        for (const auto &cell : inst.comp->cells()) {
-            if (cell->isPrimitive())
-                out.push_back(inst.path + cell->name());
-            else
-                walk(*inst.subs[sub++]);
-        }
-    };
-    walk(*rootInst);
-    if (out.size() != modelList.size())
-        panic("simulator: model path walk does not match model list");
-    return out;
-}
-
 std::vector<std::unique_ptr<PrimModel>>
 SimProgram::newModelSet() const
 {
     std::vector<std::unique_ptr<PrimModel>> out;
-    out.reserve(modelList.size());
-    std::function<void(const Instance &)> walk = [&](const Instance &inst) {
-        size_t sub = 0;
-        for (const auto &cell : inst.comp->cells()) {
-            if (cell->isPrimitive()) {
-                std::string prefix = inst.path;
-                auto resolver = [&](const std::string &port) {
-                    return portId(prefix + cell->name() + "." + port);
-                };
-                out.push_back(makeModel(*cell, resolver));
-            } else {
-                walk(*inst.subs[sub++]);
-            }
-        }
-    };
-    walk(*rootInst);
-    if (out.size() != modelList.size())
-        panic("simulator: model set walk does not match model list");
+    out.reserve(cellList.size());
+    for (const ModelCell &mc : cellList) {
+        out.push_back(makeModel(*mc.cell, [&](const std::string &port) {
+            return portId(mc.path.str() + "." + port);
+        }));
+    }
     return out;
 }
 
@@ -465,12 +436,11 @@ SimProgram::schedule() const
 }
 
 std::shared_ptr<CompiledModule>
-SimProgram::compiledModule(bool probe) const
+SimProgram::compiledModule() const
 {
-    auto &slot = compiled[probe ? 1 : 0];
-    if (!slot)
-        slot = CompiledModule::load(*this, probe);
-    return slot;
+    if (!compiled)
+        compiled = CompiledModule::load(*this);
+    return compiled;
 }
 
 bool
@@ -509,18 +479,14 @@ SimProgram::buildInstance(Instance &inst, const Component &comp)
             inst.donePort = id;
     }
 
-    // Cell ports, models, and sub-instances.
+    // Cell ports, model cells (the constructor builds their models once
+    // every port exists), and sub-instances.
     std::string prefix = inst.path;
     for (const auto &cell : comp.cells()) {
         for (const auto &p : cell->portDefs())
             addPort(prefix + cell->name() + "." + p.name);
         if (cell->isPrimitive()) {
-            auto resolver = [&](const std::string &port) {
-                return portId(prefix + cell->name() + "." + port);
-            };
-            auto model = makeModel(*cell, resolver);
-            modelIndex[prefix + cell->name()] = model.get();
-            modelList.push_back(std::move(model));
+            cellList.push_back({cell.get(), prefix + cell->name()});
         } else {
             auto sub = std::make_unique<Instance>();
             sub->path = prefix + cell->name() + "/";
@@ -698,11 +664,28 @@ SimProgram::compileGuard(const Instance &inst, const GuardPtr &g)
 }
 
 SimState::SimState(const SimProgram &prog, Engine engine)
-    : prog(&prog), engineVal(engine)
+    : prog(&prog), engineVal(engine), laneSets{&prog.models()},
+      liveMask(1, 1)
 {
     vals.assign(prog.numPorts(), 0);
     tmp.assign(prog.numPorts(), 0);
     driver.assign(prog.numPorts(), -1);
+}
+
+SimState::SimState(const SimProgram &prog, std::vector<ModelSet> lane_models)
+    : prog(&prog), engineVal(Engine::Levelized),
+      numLanes(static_cast<uint32_t>(lane_models.size())),
+      ownedModels(std::move(lane_models)), liveMask(numLanes, 1)
+{
+    if (numLanes == 0)
+        fatal("simulator: a lane state needs at least one lane");
+    for (const ModelSet &set : ownedModels) {
+        if (set.size() != prog.models().size())
+            panic("simulator: lane model set does not match models()");
+        laneSets.push_back(&set);
+    }
+    vals.assign(size_t(numLanes) * prog.numPorts(), 0);
+    tmp.assign(vals.size(), 0);
 }
 
 SimState::~SimState()
@@ -715,8 +698,11 @@ void
 SimState::reset()
 {
     std::fill(vals.begin(), vals.end(), 0);
-    for (const auto &m : prog->models())
-        m->reset();
+    for (const ModelSet *set : laneSets) {
+        for (const auto &m : *set)
+            m->reset();
+    }
+    std::fill(liveMask.begin(), liveMask.end(), 1);
     active.clear();
     forces.clear();
     cycleIndex = 0;
@@ -779,12 +765,8 @@ SimState::comb()
         panic("comb: bad engine");
     }
     if (!observerList.empty()) {
-        // The probed compiled module already invoked cycleSettled from
-        // inside its eval() (via probeThunk); the interpreting engines
-        // notify here. Either way observers see settled, pre-clock-edge
-        // values once per cycle.
-        if (engineVal != Engine::Compiled || !compiledProbe)
-            notifySettled();
+        // Observers see settled, pre-clock-edge values once per cycle.
+        notifySettled();
         for (obs::SimObserver *o : observerList)
             o->combStats(cycleIndex, evals);
         ++cycleIndex;
@@ -795,13 +777,10 @@ SimState::comb()
 void
 SimState::addObserver(obs::SimObserver *observer)
 {
+    if (numLanes > 1)
+        fatal("simulator: observers follow one stimulus; this state "
+              "runs ", numLanes, " lanes");
     observerList.push_back(observer);
-    if (compiledInst && !compiledProbe) {
-        // A plain (probe-free) module is already bound; drop it so the
-        // next comb() reloads the probed variant.
-        compiledMod->freeInstance(compiledInst);
-        compiledInst = nullptr;
-    }
 }
 
 void
@@ -809,13 +788,6 @@ SimState::notifySettled()
 {
     for (obs::SimObserver *o : observerList)
         o->cycleSettled(cycleIndex, vals.data());
-}
-
-void
-SimState::probeThunk(void *ctx, const uint64_t *vals)
-{
-    (void)vals; // the same array the state owns
-    static_cast<SimState *>(ctx)->notifySettled();
 }
 
 void
@@ -830,9 +802,7 @@ SimState::ensureCompiled()
 {
     if (compiledInst)
         return;
-    bool want_probe = !observerList.empty();
-    compiledMod = prog->compiledModule(want_probe);
-    compiledProbe = want_probe && compiledMod->hasProbe();
+    compiledMod = prog->compiledModule();
 
     // Bind the generated instance's register and memory state to the
     // PrimModel objects' own storage (model order on both sides), so
@@ -855,8 +825,6 @@ SimState::ensureCompiled()
 
     compiledInst = compiledMod->newInstance();
     compiledMod->bind(compiledInst, regStorage.data(), memStorage.data());
-    if (compiledProbe)
-        compiledMod->setProbe(compiledInst, &SimState::probeThunk, this);
     compiledMod->reset(compiledInst, vals.data());
 
     continuousCount = 0;
@@ -1011,15 +979,18 @@ SimState::diffForces()
         markDirty(port);
 }
 
-uint64_t
-SimState::evalPort(uint32_t port, bool check_conflicts, bool memoize)
+inline uint64_t
+SimState::evalPort(uint32_t lane, uint32_t port, bool check_conflicts,
+                   bool memoize)
 {
     // Driver priority mirrors the Jacobi pass order: active assignment
     // beats force beats model output beats the zero default.
+    const size_t base = size_t(lane) * prog->numPorts();
+    const uint64_t *v = vals.data() + base;
     const GuardDag &dag = prog->guardDag();
     const SAssign *winner = nullptr;
     for (const SAssign *a : activeByPort[port]) {
-        if (!dag.eval(a->guardRoot, vals.data(), guardMemo, memoize))
+        if (!dag.eval(a->guardRoot, v, memos[lane], memoize))
             continue;
         if (winner && check_conflicts) {
             fatal("multiple active drivers for port ",
@@ -1030,27 +1001,40 @@ SimState::evalPort(uint32_t port, bool check_conflicts, bool memoize)
         winner = a;
     }
     if (winner)
-        return winner->srcConst ? winner->srcValue : vals[winner->srcPort];
+        return winner->srcConst ? winner->srcValue : v[winner->srcPort];
     if (forcedStamp[port] == stamp)
         return forcedVal[port];
-    if (PrimModel *m = sched->modelOf(port)) {
-        m->evalComb(vals.data(), tmp.data());
-        return tmp[port];
+    if (int32_t m = sched->modelOf(port); m >= 0) {
+        uint64_t *t = tmp.data() + base;
+        (*laneSets[lane])[m]->evalComb(v, t);
+        return t[port];
     }
     return 0;
 }
 
+template <bool Single>
 void
 SimState::evalNode(uint32_t node_index)
 {
     const SimSchedule::Node &node = sched->nodes()[node_index];
     const uint32_t *mem = sched->memberPorts().data() + node.first;
+    const size_t np = prog->numPorts();
+    const uint32_t lanes = Single ? 1 : numLanes;
 
     if (!node.cyclic) {
         uint32_t p = mem[0];
-        uint64_t nv = evalPort(p, true, true);
-        if (nv != vals[p]) {
-            vals[p] = nv;
+        bool changed = false;
+        for (uint32_t l = 0; l < lanes; ++l) {
+            if (!liveMask[l])
+                continue;
+            uint64_t nv = evalPort(l, p, true, true);
+            uint64_t &cur = vals[l * np + p];
+            if (nv != cur) {
+                cur = nv;
+                changed = true;
+            }
+        }
+        if (changed) {
             for (const uint32_t *q = sched->fanoutBegin(p),
                                 *e = sched->fanoutEnd(p);
                  q != e; ++q)
@@ -1059,37 +1043,43 @@ SimState::evalNode(uint32_t node_index)
         return;
     }
 
-    // Non-trivial SCC: bounded local fixed point (Gauss-Seidel over the
-    // members, which converges at least as fast as a Jacobi sweep).
-    bool changed = true;
-    int iter = 0;
-    while (changed) {
-        if (++iter > maxCombPasses) {
-            std::string ports;
+    // Non-trivial SCC: per lane, a bounded local fixed point
+    // (Gauss-Seidel over the members, which converges at least as fast
+    // as a Jacobi sweep), then a conflict re-check of the settled
+    // values (which cannot change them).
+    for (uint32_t l = 0; l < lanes; ++l) {
+        if (!liveMask[l])
+            continue;
+        uint64_t *v = vals.data() + l * np;
+        bool changed = true;
+        int iter = 0;
+        while (changed) {
+            if (++iter > maxCombPasses) {
+                std::string ports;
+                for (uint32_t i = 0; i < node.count; ++i) {
+                    if (!ports.empty())
+                        ports += ", ";
+                    ports += prog->portName(mem[i]);
+                }
+                fatal("combinational cycle did not settle after ",
+                      maxCombPasses, " iterations; ports on the cycle: ",
+                      ports);
+            }
+            changed = false;
             for (uint32_t i = 0; i < node.count; ++i) {
-                if (!ports.empty())
-                    ports += ", ";
-                ports += prog->portName(mem[i]);
-            }
-            fatal("combinational cycle did not settle after ",
-                  maxCombPasses, " iterations; ports on the cycle: ",
-                  ports);
-        }
-        changed = false;
-        for (uint32_t i = 0; i < node.count; ++i) {
-            uint32_t p = mem[i];
-            uint64_t nv = evalPort(p, false, false);
-            if (nv != vals[p]) {
-                vals[p] = nv;
-                portChanged[p] = 1;
-                changed = true;
+                uint32_t p = mem[i];
+                uint64_t nv = evalPort(l, p, false, false);
+                if (nv != v[p]) {
+                    v[p] = nv;
+                    portChanged[p] = 1;
+                    changed = true;
+                }
             }
         }
+        for (uint32_t i = 0; i < node.count; ++i)
+            evalPort(l, mem[i], true, false);
     }
-    // Settled: re-check with conflict detection (values cannot change),
-    // then wake external fanouts of members that moved.
-    for (uint32_t i = 0; i < node.count; ++i)
-        evalPort(mem[i], true, false);
+    // Wake the external fanouts of members that moved in any lane.
     for (uint32_t i = 0; i < node.count; ++i) {
         uint32_t p = mem[i];
         if (!portChanged[p])
@@ -1116,7 +1106,7 @@ SimState::bindSchedule()
     portChanged.assign(prog->numPorts(), 0);
     forcedVal.assign(prog->numPorts(), 0);
     forcedStamp.assign(prog->numPorts(), 0);
-    guardMemo = GuardMemo(prog->guardDag().nodes.size());
+    memos.assign(numLanes, GuardMemo(prog->guardDag().nodes.size()));
     activeByPort.resize(prog->numPorts());
     oldActiveByPort.resize(prog->numPorts());
 }
@@ -1131,7 +1121,8 @@ SimState::combLevelized()
         forcedVal[port] = value;
         forcedStamp[port] = stamp;
     }
-    guardMemo.beginCycle();
+    for (GuardMemo &memo : memos)
+        memo.beginCycle();
 
     if (!activationValid) {
         markAllDirty();
@@ -1149,7 +1140,10 @@ SimState::combLevelized()
         uint32_t node = queue.top();
         queue.pop();
         inQueue[node] = 0;
-        evalNode(node);
+        if (numLanes == 1)
+            evalNode<true>(node);
+        else
+            evalNode<false>(node);
         ++evaluated;
     }
     return evaluated;
@@ -1167,16 +1161,24 @@ SimState::clock()
         checkCompiledError();
         return;
     }
-    for (const auto &m : prog->models())
-        m->clock(vals.data());
-    if (engineVal == Engine::Levelized && sched) {
+    const size_t np = prog->numPorts();
+    for (uint32_t l = 0; l < numLanes; ++l) {
+        if (!liveMask[l])
+            continue;
+        uint64_t *v = vals.data() + l * np;
+        const ModelSet &models = *laneSets[l];
+        for (const auto &m : models)
+            m->clock(v);
+        if (engineVal != Engine::Levelized || !sched)
+            continue;
         // Seed the next cycle's event queue: outputs of stateful models
         // whose post-edge value differs from the settled one.
+        uint64_t *t = tmp.data() + l * np;
         const auto &stateful = sched->statefulModels();
         for (size_t i = 0; i < stateful.size(); ++i) {
-            stateful[i]->evalComb(vals.data(), tmp.data());
+            models[stateful[i]]->evalComb(v, t);
             for (uint32_t o : sched->statefulOutputs(i)) {
-                if (tmp[o] != vals[o])
+                if (t[o] != v[o])
                     markDirty(o);
             }
         }

@@ -122,11 +122,11 @@ struct SExpr
 constexpr uint32_t sexprInlineDepth = 64;
 
 /**
- * One walk's guard memo over a GuardDag (the scalar walk has one, every
- * batch lane its own): per node, the stamp of the evaluation that
- * computed it and its value, packed as `stamp << 1 | value`. An entry
- * counts only while its stamp matches the reading evaluation's, so
- * starting a new stamp invalidates the whole plane in O(1).
+ * One lane's guard memo over a GuardDag (a SimState keeps one per
+ * lane): per node, the stamp of the evaluation that computed it and its
+ * value, packed as `stamp << 1 | value`. An entry counts only while its
+ * stamp matches the reading evaluation's, so starting a new stamp
+ * invalidates the whole plane in O(1).
  */
 struct GuardMemo
 {
@@ -245,13 +245,21 @@ class SimProgram
         return modelList;
     }
 
-    /** Hierarchical cell path of each models() entry, in order. */
-    std::vector<Symbol> modelPaths() const;
+    /** The primitive cell behind one models() entry. */
+    struct ModelCell
+    {
+        const Cell *cell = nullptr;
+        Symbol path; ///< Hierarchical cell path, e.g. "pe00/acc".
+    };
+
+    /** Cell and path of each models() entry, in order: the one record
+     * of model order, which cppsim's register/memory slots follow. */
+    const std::vector<ModelCell> &modelCells() const { return cellList; }
 
     /**
      * A fresh, independent set of primitive models in models() order.
-     * The batch runner (sim/batch.h) gives every stimulus lane its own
-     * set, so per-lane register/memory/pipeline state lives behind the
+     * A K-lane SimState gives every stimulus lane its own set, so
+     * per-lane register/memory/pipeline state lives behind the
      * ordinary PrimModel interface while the program's own models stay
      * untouched.
      */
@@ -287,13 +295,8 @@ class SimProgram
      * --sim-engine=compiled over this program shares one module and
      * codegen happens once. fatal() like schedule() on rejection, plus
      * on a missing host toolchain or a failed host compile.
-     *
-     * The probed variant (`probe = true`) is generated with observer
-     * callbacks compiled in (emit/cppsim.h) and cached separately —
-     * requesting it never slows down unobserved runs of the plain
-     * module, whose hot path stays branch-free.
      */
-    std::shared_ptr<CompiledModule> compiledModule(bool probe = false) const;
+    std::shared_ptr<CompiledModule> compiledModule() const;
 
     const Context &context() const { return *ctx; }
 
@@ -314,12 +317,12 @@ class SimProgram
     GuardDag dag;
     std::vector<Symbol> portNames;
     std::unordered_map<Symbol, uint32_t> portIds;
+    std::vector<ModelCell> cellList;
     std::vector<std::unique_ptr<PrimModel>> modelList;
     std::unordered_map<Symbol, PrimModel *> modelIndex;
     std::vector<std::string> assignDescs;
     mutable std::unique_ptr<SimSchedule> sched; ///< Lazily built.
-    /// Lazily loaded generated modules: [0] plain, [1] with probes.
-    mutable std::shared_ptr<CompiledModule> compiled[2];
+    mutable std::shared_ptr<CompiledModule> compiled; ///< Lazily loaded.
 };
 
 /**
@@ -327,18 +330,38 @@ class SimProgram
  * evaluation engine. Callers select the active assignment set each cycle
  * (continuous only for compiled programs; continuous + active groups for
  * the interpreter), then alternate comb() and clock().
+ *
+ * A levelized state runs K stimulus lanes through one walk. Lane l owns
+ * the slice [l * ports, (l + 1) * ports) of the value planes, its own
+ * guard memo and its own model set; every lane shares the active set,
+ * the forces and one dirty-node queue (the union of the lanes' dirty
+ * cones). Re-evaluating a node whose inputs did not change in some lane
+ * is idempotent there, so each lane follows its exact scalar
+ * trajectory. K = 1 over the program's own models is the scalar state
+ * every engine uses; only the batch runner (sim/batch.h) builds K > 1.
  */
 class SimState
 {
   public:
+    /// One lane's primitive models, in SimProgram::models() order.
+    using ModelSet = std::vector<std::unique_ptr<PrimModel>>;
+
+    /** One lane over the program's own models (borrowed). */
     explicit SimState(const SimProgram &prog,
                       Engine engine = Engine::Levelized);
+
+    /**
+     * A levelized state with one lane per model set, each from
+     * SimProgram::newModelSet() and owned from here on. Go is forced for
+     * every lane alike; a lane leaves the walk through retire().
+     */
+    SimState(const SimProgram &prog, std::vector<ModelSet> lane_models);
     ~SimState();
 
     SimState(const SimState &) = delete;
     SimState &operator=(const SimState &) = delete;
 
-    /** Reset all models and values. */
+    /** Reset all models and values; every lane is live again. */
     void reset();
 
     /** Clear the active assignment set (start of cycle assembly). */
@@ -360,8 +383,23 @@ class SimState
     /** Advance all sequential primitives one clock edge. */
     void clock();
 
+    /** Lane 0's value of a port (the only lane of a scalar state). */
     uint64_t value(uint32_t port) const { return vals[port]; }
     uint64_t value(Symbol path) const { return vals[prog->portId(path)]; }
+
+    uint64_t laneValue(uint32_t lane, uint32_t port) const
+    {
+        return vals[size_t(lane) * prog->numPorts() + port];
+    }
+    const ModelSet &laneModels(uint32_t lane) const
+    {
+        return *laneSets[lane];
+    }
+    bool laneLive(uint32_t lane) const { return liveMask[lane] != 0; }
+
+    /** Drop a lane from every later comb() and clock(): its values and
+     * models keep the state they had when it retired. */
+    void retire(uint32_t lane) { liveMask[lane] = 0; }
 
     Engine engine() const { return engineVal; }
     const SimProgram &program() const { return *prog; }
@@ -376,9 +414,9 @@ class SimState
     /**
      * Attach an observer (obs/observer.h); not owned, must outlive the
      * state. Every subsequent comb() notifies all observers in
-     * attachment order, on every engine. Attach before the first
-     * compiled-engine comb(): attaching later reloads the generated
-     * module in its probed variant.
+     * attachment order, on every engine, with lane 0's settled values.
+     * Observers may attach at any cycle. fatal() on a state with more
+     * than one lane: observers follow one stimulus.
      */
     void addObserver(obs::SimObserver *observer);
 
@@ -410,24 +448,29 @@ class SimState
     /** Run every observer's cycleSettled for the current cycle. */
     void notifySettled();
 
-    /** C callback the probed generated module invokes after eval(). */
-    static void probeThunk(void *ctx, const uint64_t *vals);
-
     /**
-     * Settled value of one port under driver priority. `memoize` is
-     * false for SCC members (GuardDag::eval).
+     * Settled value of one port in one lane under driver priority.
+     * `memoize` is false for SCC members (GuardDag::eval).
      */
-    uint64_t evalPort(uint32_t port, bool check_conflicts, bool memoize);
+    uint64_t evalPort(uint32_t lane, uint32_t port, bool check_conflicts,
+                      bool memoize);
 
     void markDirty(uint32_t port);
     void markAllDirty();
     void rebuildActiveByPort();
     void diffForces();
-    void evalNode(uint32_t node_index);
+    /// Evaluate one schedule node in every live lane. `Single` (K = 1)
+    /// instantiates the scalar walk, with the lane loop and the slice
+    /// offsets folded away.
+    template <bool Single> void evalNode(uint32_t node_index);
 
     const SimProgram *prog;
     Engine engineVal;
-    std::vector<uint64_t> vals, tmp;
+    uint32_t numLanes = 1;
+    std::vector<ModelSet> ownedModels;     ///< Lane constructor only.
+    std::vector<const ModelSet *> laneSets; ///< Per lane: owned or borrowed.
+    std::vector<uint8_t> liveMask;          ///< Per lane.
+    std::vector<uint64_t> vals, tmp;        ///< Lane-major planes.
     std::vector<const SAssign *> active; ///< Jacobi: flat active set.
     std::vector<std::pair<uint32_t, uint64_t>> forces;
     std::vector<int32_t> driver; // scratch for conflict detection
@@ -454,19 +497,19 @@ class SimState
     /// wraps after 2^32 comb() calls and would revive an old force.
     std::vector<uint64_t> forcedStamp;
     uint64_t stamp = 0; ///< Incremented every comb().
-    GuardMemo guardMemo; ///< The dirty-cone walk's memo plane.
+    std::vector<GuardMemo> memos; ///< One memo plane per lane.
 
     /// Event queue: dirty schedule nodes, popped in topological order.
     std::priority_queue<uint32_t, std::vector<uint32_t>,
                         std::greater<uint32_t>> queue;
     std::vector<uint8_t> inQueue;     ///< Per schedule node.
-    std::vector<uint8_t> portChanged; ///< Scratch for cyclic nodes.
+    /// Scratch for cyclic nodes: the member moved in some lane.
+    std::vector<uint8_t> portChanged;
 
     // --- Compiled engine state --------------------------------------
     std::shared_ptr<CompiledModule> compiledMod; ///< Shared per digest.
     void *compiledInst = nullptr; ///< This state's generated instance.
     size_t continuousCount = 0;   ///< Total continuous assignments.
-    bool compiledProbe = false;   ///< Loaded module notifies observers.
 
     // --- Observability ----------------------------------------------
     std::vector<obs::SimObserver *> observerList;

@@ -104,7 +104,7 @@ portList(const SimProgram &prog, const std::vector<uint32_t> &ports)
 SimSchedule::SimSchedule(const SimProgram &prog)
 {
     const uint32_t n = static_cast<uint32_t>(prog.numPorts());
-    portModel.assign(n, nullptr);
+    portModel.assign(n, -1);
     portNode.assign(n, 0);
 
     std::vector<Edge> edges;
@@ -132,10 +132,11 @@ SimSchedule::SimSchedule(const SimProgram &prog)
         }
     });
 
-    for (const auto &m : prog.models()) {
-        ModelDeps d = m->deps();
+    const auto &models = prog.models();
+    for (uint32_t i = 0; i < models.size(); ++i) {
+        ModelDeps d = models[i]->deps();
         for (uint32_t o : d.outputs)
-            portModel[o] = m.get();
+            portModel[o] = static_cast<int32_t>(i);
         for (const auto &[in, outs] : d.combEdges) {
             for (uint32_t o : outs) {
                 edges.push_back({in, o});
@@ -145,7 +146,7 @@ SimSchedule::SimSchedule(const SimProgram &prog)
             }
         }
         if (d.stateful) {
-            stateful.push_back(m.get());
+            stateful.push_back(i);
             statefulOuts.push_back(d.outputs);
         }
     }

@@ -1,10 +1,9 @@
 #ifndef CALYX_SIM_SCHEDULE_H
 #define CALYX_SIM_SCHEDULE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "sim/models.h"
 
 namespace calyx::sim {
 
@@ -65,14 +64,14 @@ class SimSchedule
         return fanoutData.data() + fanoutOffset[port + 1];
     }
 
-    /** The model driving `port`, or nullptr. */
-    PrimModel *modelOf(uint32_t port) const { return portModel[port]; }
+    /** SimProgram::models() index of the model driving `port`, or -1.
+     * Indices, not pointers, so every lane's own model set (sim/env.h
+     * SimState) and the codegen's cell list read the same table. */
+    int32_t modelOf(uint32_t port) const { return portModel[port]; }
 
-    /** Models whose outputs can change at clock edges. */
-    const std::vector<PrimModel *> &statefulModels() const
-    {
-        return stateful;
-    }
+    /** models() indices of the models whose outputs can change at
+     * clock edges. */
+    const std::vector<uint32_t> &statefulModels() const { return stateful; }
 
     /** Output ports of the i-th stateful model. */
     const std::vector<uint32_t> &statefulOutputs(size_t i) const
@@ -85,8 +84,8 @@ class SimSchedule
     std::vector<uint32_t> members;
     std::vector<uint32_t> portNode;
     std::vector<uint32_t> fanoutOffset, fanoutData; // CSR successor lists
-    std::vector<PrimModel *> portModel;
-    std::vector<PrimModel *> stateful;
+    std::vector<int32_t> portModel;
+    std::vector<uint32_t> stateful;
     std::vector<std::vector<uint32_t>> statefulOuts;
 };
 

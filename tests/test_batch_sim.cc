@@ -1,8 +1,9 @@
 /**
  * Batched lane-parallel simulation (ISSUE 8): a batch of N stimuli run
  * through sim::BatchRunner must be bit-identical — cycle counts,
- * register state, memory images, per lane — to N scalar CycleSim runs,
- * on both the levelized and compiled engines, including batches whose
+ * register state, memory images, per lane — to N scalar CycleSim runs
+ * on the Jacobi oracle, whichever engine the batch runs on (levelized
+ * or compiled), including batches whose
  * lanes take divergent control paths (a while loop bounded by a value
  * loaded from memory) and batches cut into tiles whose tail runs
  * either padded or (compiled engine, short tails) on the scalar module.
@@ -52,31 +53,38 @@ struct ScalarRef
     std::vector<std::vector<uint64_t>> mems;
 };
 
-ScalarRef
-runScalar(const Context &ctx, const sim::Stimulus &stim, sim::Engine engine)
+/** One scalar Jacobi run per stimulus: the oracle every batch engine
+ * is held to. */
+std::vector<ScalarRef>
+jacobiRefs(const Context &ctx, const std::vector<sim::Stimulus> &batch)
 {
-    sim::SimProgram sp(ctx, ctx.entrypoint());
-    for (const auto &[path, data] : stim.mems) {
-        std::vector<uint64_t> *mem = sp.findModel(path)->memory();
-        EXPECT_NE(mem, nullptr) << path;
-        std::copy(data.begin(), data.end(), mem->begin());
+    std::vector<ScalarRef> refs;
+    for (const sim::Stimulus &stim : batch) {
+        sim::SimProgram sp(ctx, ctx.entrypoint());
+        for (const auto &[path, data] : stim.mems) {
+            std::vector<uint64_t> *mem = sp.findModel(path)->memory();
+            EXPECT_NE(mem, nullptr) << path;
+            std::copy(data.begin(), data.end(), mem->begin());
+        }
+        sim::CycleSim cs(sp, sim::Engine::Jacobi);
+        ScalarRef &r = refs.emplace_back();
+        r.cycles = cs.run();
+        for (const auto &m : sp.models()) {
+            if (auto rv = m->registerValue())
+                r.regs.push_back(*rv);
+            else if (const std::vector<uint64_t> *mm = m->memory())
+                r.mems.push_back(*mm);
+        }
     }
-    sim::CycleSim cs(sp, engine);
-    ScalarRef r;
-    r.cycles = cs.run();
-    for (const auto &m : sp.models()) {
-        if (auto rv = m->registerValue())
-            r.regs.push_back(*rv);
-        else if (const std::vector<uint64_t> *mm = m->memory())
-            r.mems.push_back(*mm);
-    }
-    return r;
+    return refs;
 }
 
-/** `counts`, when given, receives the tile shapes the batch ran as. */
+/** `refs` from jacobiRefs(ctx, batch); `counts`, when given, receives
+ * the tile shapes the batch ran as. */
 void
 expectBatchMatchesScalar(const Context &ctx,
                          const std::vector<sim::Stimulus> &batch,
+                         const std::vector<ScalarRef> &refs,
                          const sim::BatchOptions &opts,
                          const std::string &label,
                          sim::BatchRunner::TileCounts *counts = nullptr)
@@ -87,8 +95,9 @@ expectBatchMatchesScalar(const Context &ctx,
     if (counts)
         *counts = runner.tileCounts();
     ASSERT_EQ(results.size(), batch.size()) << label;
+    ASSERT_EQ(refs.size(), batch.size()) << label;
     for (size_t l = 0; l < batch.size(); ++l) {
-        ScalarRef ref = runScalar(ctx, batch[l], opts.engine);
+        const ScalarRef &ref = refs[l];
         EXPECT_EQ(ref.cycles, results[l].cycles)
             << label << ": cycle count diverges in lane " << l << " ("
             << sim::engineName(opts.engine) << ")";
@@ -167,11 +176,12 @@ TEST(BatchSim, Batch64MatchesScalarOnExamples)
         // 64 lanes (four default-width tiles) with default-zero
         // stimuli: every lane must retire exactly like one scalar run.
         std::vector<sim::Stimulus> batch(64);
+        auto refs = jacobiRefs(ctx, batch);
         for (sim::Engine engine : batchEngines()) {
             sim::BatchOptions opts;
             opts.engine = engine;
             expectBatchMatchesScalar(
-                ctx, batch, opts, entry.path().filename().string());
+                ctx, batch, refs, opts, entry.path().filename().string());
         }
     }
     EXPECT_GE(found, 2) << "expected at least two examples/*.futil";
@@ -190,6 +200,7 @@ TEST(BatchSim, DivergentControlPathsPerLane)
         s.mems.emplace_back("bound", std::vector<uint64_t>{b});
         batch.push_back(std::move(s));
     }
+    auto refs = jacobiRefs(ctx, batch);
     for (sim::Engine engine : batchEngines()) {
         sim::BatchOptions opts;
         opts.engine = engine;
@@ -198,7 +209,8 @@ TEST(BatchSim, DivergentControlPathsPerLane)
         // tile).
         opts.laneTile = 4;
         opts.threads = 3;
-        expectBatchMatchesScalar(ctx, batch, opts, "data-bounded loop");
+        expectBatchMatchesScalar(ctx, batch, refs, opts,
+                                 "data-bounded loop");
     }
 
     // Sanity: the lanes really did diverge (distinct cycle counts).
@@ -227,12 +239,13 @@ TEST(BatchSim, PolybenchDivergentDataPerLane)
                 data[i] += lane * (i % 7);
         batch.push_back(workloads::makeStimulus(prog, inputs));
     }
+    auto refs = jacobiRefs(ctx, batch);
     for (sim::Engine engine : batchEngines()) {
         sim::BatchOptions opts;
         opts.engine = engine;
         opts.laneTile = 4; // 2-stimulus tail: scalar tiles (compiled).
         opts.threads = 2;
-        expectBatchMatchesScalar(ctx, batch, opts, "gemm");
+        expectBatchMatchesScalar(ctx, batch, refs, opts, "gemm");
     }
 }
 
@@ -263,6 +276,8 @@ TEST(BatchSim, CompiledTailShapesMatchScalar)
         uint64_t scalarTiles, laneTiles, paddedLanes;
     };
     for (Shape shape : {Shape{11, 3, 1, 0}, Shape{14, 0, 2, 2}}) {
+        auto batch = boundedLoopBatch(shape.batch);
+        auto refs = jacobiRefs(ctx, batch);
         for (unsigned threads : {1u, 3u}) {
             sim::BatchOptions opts;
             opts.engine = sim::Engine::Compiled;
@@ -271,8 +286,7 @@ TEST(BatchSim, CompiledTailShapesMatchScalar)
             std::string label = "batch " + std::to_string(shape.batch) +
                                 ", " + std::to_string(threads) + " threads";
             sim::BatchRunner::TileCounts tc;
-            expectBatchMatchesScalar(ctx, boundedLoopBatch(shape.batch),
-                                     opts, label, &tc);
+            expectBatchMatchesScalar(ctx, batch, refs, opts, label, &tc);
             EXPECT_EQ(tc.scalarTiles, shape.scalarTiles) << label;
             EXPECT_EQ(tc.laneTiles, shape.laneTiles) << label;
             EXPECT_EQ(tc.paddedLanes, shape.paddedLanes) << label;

@@ -340,7 +340,7 @@ TEST(EngineEquivalence, GuardMemoMatchesJacobiAroundSharedGuardScc)
     EXPECT_EQ(jacobiCycles, cycles) << "interpreter";
     EXPECT_EQ(jacobi, state) << "interpreter";
 
-    // Lowered: the scalar walk and the batch lane-tile walk.
+    // Lowered: the scalar walk and batch lane tiles.
     Context ctx = sharedGuardSccProgram();
     passes::runPipeline(ctx, "all");
     auto run = [&](sim::Engine engine, uint64_t *cycles) {
@@ -361,17 +361,25 @@ TEST(EngineEquivalence, GuardMemoMatchesJacobiAroundSharedGuardScc)
     for (const auto &slot : lowered)
         regs.push_back(slot.at(0));
     sim::SimProgram sp(ctx, "main");
-    // One-lane tiles: with two threads the three stimuli run as three
-    // concurrent tiles, each walking its own guard memo plane.
-    for (unsigned threads : {1u, 2u}) {
+    // One-lane tiles (with two threads, three concurrent tiles, each a
+    // SimState with its own memo plane), and one three-lane tile whose
+    // lanes share one walk of the SCC sweep.
+    struct Shape
+    {
+        uint32_t laneTile;
+        unsigned threads;
+    };
+    for (Shape shape : {Shape{1, 1}, Shape{1, 2}, Shape{3, 1}}) {
         sim::BatchOptions opts;
         opts.engine = sim::Engine::Levelized;
-        opts.laneTile = 1;
-        opts.threads = threads;
+        opts.laneTile = shape.laneTile;
+        opts.threads = shape.threads;
+        std::string label = "batch, tile " + std::to_string(shape.laneTile) +
+                            " x" + std::to_string(shape.threads);
         auto lanes = sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
         for (const sim::LaneResult &r : lanes) {
-            EXPECT_EQ(jacobiCycles, r.cycles) << "batch x" << threads;
-            EXPECT_EQ(regs, r.regs) << "batch x" << threads;
+            EXPECT_EQ(jacobiCycles, r.cycles) << label;
+            EXPECT_EQ(regs, r.regs) << label;
         }
     }
 }

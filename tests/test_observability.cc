@@ -5,10 +5,11 @@
  * The load-bearing property is engine independence: a VCD trace of the
  * same design must be byte-identical whether the cycle values came
  * from the jacobi oracle, the levelized scheduler, or the compiled
- * engine's generated probe callback. Profiler counts are pinned
+ * engine's generated module. Profiler counts are pinned
  * against hand-computed activity on the canonical counter programs,
  * and the gemm kernel checks the ISSUE acceptance bar of >= 95% cycle
- * attribution on a real workload.
+ * attribution on a real workload. An observer attached mid-run leaves
+ * the run it joins unchanged on every engine.
  */
 #include <gtest/gtest.h>
 
@@ -375,6 +376,79 @@ TEST(ObsProfile, EngineBlockReportsGuardDagSize)
     std::string line = "guards " + std::to_string(tree) + " tree -> " +
                        std::to_string(dag) + " dag nodes";
     EXPECT_NE(os.str().find(line), std::string::npos) << os.str();
+}
+
+// --- Attaching mid-run ----------------------------------------------------
+
+/** Counts the cycles it sees settle, and nothing else. */
+struct CountingObserver : obs::SimObserver
+{
+    uint64_t settled = 0;
+    void cycleSettled(uint64_t, const uint64_t *) override { ++settled; }
+};
+
+/**
+ * CycleSim::run's loop, with `observer` attached just before cycle
+ * `attach` (1-based) settles. Returns the cycle count; `state` gets the
+ * final architectural state.
+ */
+uint64_t
+runAttachingAt(const sim::SimProgram &sp, sim::Engine engine,
+               uint64_t attach, obs::SimObserver &observer,
+               std::vector<std::vector<uint64_t>> &state)
+{
+    sim::SimState st(sp, engine);
+    st.reset();
+    const sim::SimProgram::Instance &top = sp.root();
+    for (uint64_t cycle = 1; cycle <= 100; ++cycle) {
+        st.beginCycle();
+        st.force(top.goPort, 1);
+        sim::activateContinuous(st, top);
+        if (cycle == attach)
+            st.addObserver(&observer);
+        st.comb();
+        bool done = st.value(top.donePort) & 1;
+        st.clock();
+        if (done) {
+            state = sim::archState(sp);
+            return cycle;
+        }
+    }
+    ADD_FAILURE() << "no done within 100 cycles";
+    return 0;
+}
+
+TEST(ObsAttach, MidRunAttachLeavesTheRunUnchanged)
+{
+    // Attaching an observer must not disturb the run it joins, on any
+    // engine and at any cycle: same cycle count, same final state as an
+    // unobserved Jacobi run.
+    Context ctx = Parser::parseProgram(readExample("counter.futil"));
+    passes::runPipeline(ctx, "default");
+    sim::SimProgram ref(ctx, "main");
+    sim::CycleSim oracle(ref, sim::Engine::Jacobi);
+    uint64_t refCycles = oracle.run();
+    std::vector<std::vector<uint64_t>> refState = sim::archState(ref);
+    ASSERT_EQ(refCycles, 5u);
+    ASSERT_EQ(*ref.findModel("r")->registerValue(), 10u);
+
+    for (const sim::EngineInfo &info : sim::engineInfos()) {
+        if (info.engine == sim::Engine::Compiled &&
+            !sim::compiledEngineUnavailableReason().empty())
+            continue;
+        for (uint64_t attach = 1; attach <= refCycles; ++attach) {
+            std::string label = std::string(info.name) + ", attached at " +
+                                std::to_string(attach);
+            sim::SimProgram sp(ctx, "main");
+            CountingObserver seen;
+            std::vector<std::vector<uint64_t>> state;
+            uint64_t cycles =
+                runAttachingAt(sp, info.engine, attach, seen, state);
+            EXPECT_EQ(cycles, refCycles) << label;
+            EXPECT_EQ(state, refState) << label;
+            EXPECT_EQ(seen.settled, cycles - attach + 1) << label;
+        }
+    }
 }
 
 // --- Report envelope & JSON reals ---------------------------------------
