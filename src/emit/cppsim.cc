@@ -17,6 +17,7 @@ namespace calyx::emit {
 
 namespace {
 
+using sim::GuardDag;
 using sim::SAssign;
 using sim::SExpr;
 using sim::SimProgram;
@@ -55,14 +56,32 @@ struct Prim
     std::vector<uint64_t> memDims;
 };
 
+/** Children of a guard DAG node: one for Not, two for And/Or. */
+int
+arity(SExpr::Op op)
+{
+    if (op == SExpr::Op::Not)
+        return 1;
+    return op == SExpr::Op::And || op == SExpr::Op::Or ? 2 : 0;
+}
+
+/** Guard trees above this many nodes compile through block locals
+ * instead of one inline expression. Below it, inline composition is
+ * both smaller and faster; above it (FSM range-check chains reach
+ * hundreds of nodes) expression nesting depth and repeated subtrees
+ * dominate. */
+constexpr uint64_t guardInlineNodes = 64;
+
 /**
  * Everything the codegen needs, resolved once: drivers per port,
- * primitive cells in model order, and constant-folded port values.
+ * primitive cells in model order, constant-folded port values, and the
+ * tree size of every guard DAG node.
  */
 struct Codegen
 {
     const SimProgram &prog;
     const SimSchedule &sched;
+    const GuardDag &dag;
     uint32_t numPorts;
     uint32_t L = 1; ///< Stimulus lanes (CppSimOptions::lanes).
 
@@ -73,19 +92,33 @@ struct Codegen
     std::vector<uint8_t> folded;   ///< Compile-time constant.
     std::vector<uint64_t> foldedVal;
 
-    /// Shared guard value pool (see buildGuardPool): assignment → guard
-    /// id, pool entry → its guard and the acyclic port whose statement
-    /// computes the pooled value at first use.
-    std::unordered_map<const SAssign *, uint32_t> guardIdOf;
-    std::vector<const SExpr *> guardPool;
-    std::vector<uint32_t> guardHome;
+    /// Per DAG node: the nodes of the guard tree rooted there.
+    std::vector<uint64_t> treeSize;
+
+    /// Shared guard value pool (see buildGuardPool): big guard root →
+    /// its `gv[]` slot and the assignment whose statement writes it.
+    struct Slot
+    {
+        uint32_t index;
+        const SAssign *writer;
+    };
+    std::unordered_map<uint32_t, Slot> slots;
 
     int numRegs = 0, numMems = 0;
 
     explicit Codegen(const SimProgram &p)
-        : prog(p), sched(p.schedule()),
-          numPorts(static_cast<uint32_t>(p.numPorts()))
-    {}
+        : prog(p), sched(p.schedule()), dag(p.guardDag()),
+          numPorts(static_cast<uint32_t>(p.numPorts())),
+          treeSize(dag.nodes.size())
+    {
+        // Postorder interning: children precede their parents.
+        for (size_t id = 0; id < dag.nodes.size(); ++id) {
+            const SExpr::Node &n = dag.nodes[id];
+            int k = arity(n.op);
+            treeSize[id] = 1 + (k > 0 ? treeSize[n.a] : 0) +
+                           (k > 1 ? treeSize[n.b] : 0);
+        }
+    }
 
     uint32_t
     pid(const Prim &prim, const char *port) const
@@ -200,179 +233,116 @@ collectPrims(Codegen &cg)
     }
 }
 
-/** Guard expression as branchless 0/1 integer arithmetic. */
+/**
+ * Guard DAG node `n` as branchless 0/1 integer arithmetic over its
+ * children's text `a` and `b`. `inl` renders it for nesting inside a
+ * bigger expression; otherwise it is the initializer of a block local.
+ * True and constant-folded port leaves are the literals "1" and "0".
+ */
 std::string
-guardExpr(const Codegen &cg, const SExpr &g)
+nodeText(const Codegen &cg, const SExpr::Node &n, const std::string &a,
+         const std::string &b, bool inl)
 {
-    if (g.nodes.empty())
+    // Comparison leaves Eq..Geq, in SExpr::Op order.
+    static const char *const cmp[] = {"==", "!=", "<", ">", "<=", ">="};
+    std::string s;
+    switch (n.op) {
+      case SExpr::Op::True:
         return "1";
-    std::vector<std::string> stack;
-    for (const SExpr::Node &n : g.nodes) {
-        switch (n.op) {
-          case SExpr::Op::True:
-            stack.push_back("1");
-            break;
-          case SExpr::Op::Port:
-            if (cg.folded[n.a])
-                stack.push_back((cg.foldedVal[n.a] & 1) ? "1" : "0");
-            else
-                stack.push_back("(" + cg.vref(n.a) + " & 1)");
-            break;
-          case SExpr::Op::Not: {
-            std::string x = std::move(stack.back());
-            stack.back() = "(" + x + " ^ 1)";
-            break;
-          }
-          case SExpr::Op::And:
-          case SExpr::Op::Or: {
-            std::string b = std::move(stack.back());
-            stack.pop_back();
-            std::string a = std::move(stack.back());
-            stack.back() = "(" + a + (n.op == SExpr::Op::And ? " & " : " | ") +
-                           b + ")";
-            break;
-          }
-          default: {
-            std::string a = n.aImm ? hexLit(n.immA) : cg.val(n.a);
-            std::string b = n.bImm ? hexLit(n.immB) : cg.val(n.b);
-            const char *op = nullptr;
-            switch (n.op) {
-              case SExpr::Op::Eq:
-                op = "==";
-                break;
-              case SExpr::Op::Neq:
-                op = "!=";
-                break;
-              case SExpr::Op::Lt:
-                op = "<";
-                break;
-              case SExpr::Op::Gt:
-                op = ">";
-                break;
-              case SExpr::Op::Leq:
-                op = "<=";
-                break;
-              case SExpr::Op::Geq:
-                op = ">=";
-                break;
-              default:
-                panic("cppsim: bad SExpr op");
-            }
-            // Lane form avoids a bool-typed intermediate: GCC refuses
-            // to vectorize `(uint64_t)(a == b)` when the result feeds
-            // integer arithmetic ("bit-precision conversion"), but the
-            // select form if-converts to a mask cleanly.
-            if (cg.L > 1)
-                stack.push_back("(" + a + " " + op + " " + b +
-                                " ? 1ull : 0ull)");
-            else
-                stack.push_back("(uint64_t)(" + a + " " + op + " " + b +
-                                ")");
-            break;
-          }
-        }
+      case SExpr::Op::Port:
+        if (cg.folded[n.a])
+            return (cg.foldedVal[n.a] & 1) ? "1" : "0";
+        s = cg.vref(n.a) + " & 1";
+        break;
+      case SExpr::Op::Not:
+        s = a + " ^ 1";
+        break;
+      case SExpr::Op::And:
+      case SExpr::Op::Or:
+        s = a + (n.op == SExpr::Op::And ? " & " : " | ") + b;
+        break;
+      default:
+        s = (n.aImm ? hexLit(n.immA) : cg.val(n.a)) + " " +
+            cmp[static_cast<int>(n.op) - static_cast<int>(SExpr::Op::Eq)] +
+            " " + (n.bImm ? hexLit(n.immB) : cg.val(n.b));
+        if (!inl)
+            return s;
+        // Lane form avoids a bool-typed intermediate: GCC refuses to
+        // vectorize `(uint64_t)(a == b)` when the result feeds integer
+        // arithmetic ("bit-precision conversion"), but the select form
+        // if-converts to a mask cleanly.
+        if (cg.L > 1)
+            return "(" + s + " ? 1ull : 0ull)";
+        return "(uint64_t)(" + s + ")";
     }
-    return stack.back();
+    return inl ? "(" + s + ")" : s;
 }
 
 /**
- * Text-keyed common-subexpression pool for one emitted port. Large
- * guards (FSM range checks repeat `go & !done` in every disjunct, and
- * whole disjuncts recur across drivers) compile each SExpr node to a
- * numbered local exactly once: identical subtrees produce identical
- * operand names, so their key collides and the local is reused.
+ * Guards of one emitted statement, read from SimProgram::guardDag(). A
+ * guard of up to guardInlineNodes tree nodes becomes one inline
+ * expression. A bigger one (FSM range checks repeat `go & !done` in
+ * every disjunct, and whole disjuncts recur across drivers) compiles
+ * to one `uint64_t tN` local per DAG node, keyed by node id, so each
+ * subterm shared within the statement is computed once.
  */
-struct GuardCSE
+struct GuardWriter
 {
+    const Codegen &cg;
     std::string ind;   ///< Indentation for emitted locals.
-    std::string stmts; ///< Accumulated "uint64_t tN = ...;" lines.
-    std::unordered_map<std::string, std::string> memo;
+    std::string stmts{}; ///< Accumulated "uint64_t tN = ...;" lines.
+    std::unordered_map<uint32_t, std::string> locals{}; ///< Node → local.
     int next = 0;
 
-    std::string local(const std::string &expr)
+    /** 0/1 value of guard `root`, inline or through locals by size. */
+    std::string
+    value(uint32_t root)
     {
-        auto it = memo.find(expr);
-        if (it != memo.end())
-            return it->second;
-        std::string name = "t" + std::to_string(next++);
-        stmts += ind + "uint64_t " + name + " = " + expr + ";\n";
-        memo.emplace(expr, name);
-        return name;
+        return cg.treeSize[root] > guardInlineNodes ? local(root)
+                                                    : inlined(root);
+    }
+
+    /** Node `id` as one expression; guardInlineNodes bounds the depth. */
+    std::string
+    inlined(uint32_t id) const
+    {
+        const SExpr::Node &n = cg.dag.nodes[id];
+        int k = arity(n.op);
+        return nodeText(cg, n, k > 0 ? inlined(n.a) : "",
+                        k > 1 ? inlined(n.b) : "", true);
+    }
+
+    /** The local holding node `root`, emitting the missing ones in
+     * postorder on an explicit stack (a guard's height is unbounded). */
+    std::string
+    local(uint32_t root)
+    {
+        std::vector<uint32_t> stack{root};
+        while (!stack.empty()) {
+            uint32_t id = stack.back();
+            const SExpr::Node &n = cg.dag.nodes[id];
+            int k = arity(n.op);
+            if (locals.count(id)) {
+                stack.pop_back();
+            } else if (k > 0 && !locals.count(n.a)) {
+                stack.push_back(n.a);
+            } else if (k > 1 && !locals.count(n.b)) {
+                stack.push_back(n.b);
+            } else {
+                std::string text = nodeText(cg, n, k > 0 ? locals[n.a] : "",
+                                            k > 1 ? locals[n.b] : "", false);
+                if (text != "1" && text != "0") {
+                    std::string name = "t" + std::to_string(next++);
+                    stmts += ind + "uint64_t " + name + " = " + text + ";\n";
+                    text = std::move(name);
+                }
+                locals.emplace(id, std::move(text));
+                stack.pop_back();
+            }
+        }
+        return locals[root];
     }
 };
-
-/** Guard nodes above which guardVar() is used instead of guardExpr().
- * Below this, inline composition is both smaller and faster; above it
- * (FSM range-check chains reach hundreds of nodes) expression nesting
- * depth and repeated subtrees dominate. */
-constexpr size_t guardInlineNodes = 64;
-
-/** Guard compiled through the CSE pool: returns the local holding the
- * 0/1 result. Same stack walk as guardExpr(), one local per node. */
-std::string
-guardVar(const Codegen &cg, const SExpr &g, GuardCSE &cse)
-{
-    if (g.nodes.empty())
-        return "1";
-    std::vector<std::string> stack;
-    for (const SExpr::Node &n : g.nodes) {
-        switch (n.op) {
-          case SExpr::Op::True:
-            stack.push_back("1");
-            break;
-          case SExpr::Op::Port:
-            if (cg.folded[n.a])
-                stack.push_back((cg.foldedVal[n.a] & 1) ? "1" : "0");
-            else
-                stack.push_back(cse.local(cg.vref(n.a) + " & 1"));
-            break;
-          case SExpr::Op::Not: {
-            std::string x = std::move(stack.back());
-            stack.back() = cse.local(x + " ^ 1");
-            break;
-          }
-          case SExpr::Op::And:
-          case SExpr::Op::Or: {
-            std::string b = std::move(stack.back());
-            stack.pop_back();
-            std::string a = std::move(stack.back());
-            stack.back() = cse.local(
-                a + (n.op == SExpr::Op::And ? " & " : " | ") + b);
-            break;
-          }
-          default: {
-            std::string a = n.aImm ? hexLit(n.immA) : cg.val(n.a);
-            std::string b = n.bImm ? hexLit(n.immB) : cg.val(n.b);
-            const char *op = nullptr;
-            switch (n.op) {
-              case SExpr::Op::Eq:
-                op = "==";
-                break;
-              case SExpr::Op::Neq:
-                op = "!=";
-                break;
-              case SExpr::Op::Lt:
-                op = "<";
-                break;
-              case SExpr::Op::Gt:
-                op = ">";
-                break;
-              case SExpr::Op::Leq:
-                op = "<=";
-                break;
-              case SExpr::Op::Geq:
-                op = ">=";
-                break;
-              default:
-                panic("cppsim: bad SExpr op");
-            }
-            stack.push_back(cse.local(a + " " + op + " " + b));
-            break;
-          }
-        }
-    }
-    return stack.back();
-}
 
 std::string
 srcExpr(const Codegen &cg, const SAssign &a)
@@ -484,139 +454,74 @@ modelOutExpr(const Codegen &cg, const Prim &p, uint32_t port)
     fatal("cppsim: no codegen for primitive ", t);
 }
 
-/**
- * Settled-value expression for one computed port under the
- * interpreter's driver priority: the ternary chain walks drivers
- * last-to-first (SimState::evalPort keeps the last active assignment)
- * and falls back to the inlined model output, then zero.
- */
-std::string
-portExpr(const Codegen &cg, uint32_t port)
-{
-    std::string expr;
-    if (int32_t m = cg.sched.modelOf(port); m >= 0)
-        expr = modelOutExpr(cg, cg.prims[m], port);
-    else
-        expr = "0ull";
-    const auto &ds = cg.drivers[port];
-    for (auto it = ds.begin(); it != ds.end(); ++it) {
-        const SAssign *a = *it;
-        if (a->guard.nodes.empty()) {
-            // Unconditional driver: earlier drivers can never win.
-            expr = srcExpr(cg, *a);
-        } else {
-            expr = "(" + guardExpr(cg, a->guard) + " ? " + srcExpr(cg, *a) +
-                   " : " + expr + ")";
-        }
-    }
-    return expr;
-}
-
-/** Fan-in above which a port is emitted as a flat if-chain. */
+/** Fan-in above which a port is emitted as a flat select chain. */
 constexpr size_t selectChainMax = 8;
 
-/** True when the port needs the statement-block form: deep fan-in or a
- * guard big enough for the CSE pool. The inline portExpr() form would
- * hand the host compiler a pathologically nested expression. */
-bool
-needsBlock(const Codegen &cg, uint32_t port)
-{
-    const auto &ds = cg.drivers[port];
-    if (ds.size() > selectChainMax)
-        return true;
-    for (const SAssign *a : ds) {
-        if (a->guard.nodes.size() > guardInlineNodes)
-            return true;
-    }
-    return false;
-}
-
 /**
- * Statements computing the settled value of `port` into local `var`.
- * Small fan-in with small guards inlines the nested-select portExpr();
- * big fan-in ports (a lowered memory write mux can have thousands of
- * drivers) become a flat if-chain instead — identical last-active-wins
- * order, but linear work for the host compiler where a 1000-deep
- * nested conditional expression makes it crawl. Guards above
- * guardInlineNodes compile through a shared per-port CSE pool.
+ * The settled value of one computed port under the interpreter's
+ * driver priority: drivers fold last-to-first (SimState::evalPort keeps
+ * the last active assignment) over the inlined model output, then zero.
+ *
+ * A port with at most selectChainMax drivers whose guards need no
+ * locals or slot writes comes back as one nested-select expression.
+ * Otherwise the statements leaving the value in local `var` (indented
+ * by `ind`) are appended to `block`, and `var` comes back. Big fan-in
+ * ports (a lowered memory write mux can have thousands of drivers)
+ * become a flat chain of `var = g ? src : var;` selects: the same
+ * last-active-wins fold, linear work for the host compiler where a
+ * 1000-deep nested conditional makes it crawl, and vector blends
+ * inside a lane loop. `in_scc` members never read the `gv[]` pool.
  */
 std::string
 portValueStmts(const Codegen &cg, uint32_t port, const std::string &var,
-               const std::string &ind, bool in_scc)
+               const std::string &ind, bool in_scc, std::string &block)
 {
     const auto &ds = cg.drivers[port];
-    if (!needsBlock(cg, port)) {
-        return ind + "uint64_t " + var + " = " + portExpr(cg, port) + ";\n";
-    }
-
-    GuardCSE cse{ind};
-    std::string pool; ///< `s->gv[k] = ...;` writes this port owns.
-    std::vector<uint32_t> homed;
+    GuardWriter gw{cg, ind};
+    std::string writes; ///< `s->gv[k] = ...;` slot writes.
     std::vector<std::string> guards(ds.size());
     for (size_t i = 0; i < ds.size(); ++i) {
-        const SExpr &g = ds[i]->guard;
-        if (g.nodes.empty())
+        uint32_t root = ds[i]->guardRoot;
+        if (root == GuardDag::alwaysTrue)
             continue; // Unconditional; no guard text needed.
-        uint32_t gid = UINT32_MAX;
-        if (!in_scc) {
-            if (auto it = cg.guardIdOf.find(ds[i]);
-                it != cg.guardIdOf.end())
-                gid = it->second;
+        auto slot = in_scc ? cg.slots.end() : cg.slots.find(root);
+        if (slot == cg.slots.end()) {
+            guards[i] = gw.value(root);
+            continue;
         }
-        if (gid != UINT32_MAX) {
-            guards[i] = cg.gvRef(gid);
-            if (cg.guardHome[gid] == port &&
-                std::find(homed.begin(), homed.end(), gid) ==
-                    homed.end()) {
-                homed.push_back(gid);
-                pool += ind + guards[i] + " = " + guardVar(cg, g, cse) +
-                        ";\n";
-            }
-        } else {
-            guards[i] = g.nodes.size() > guardInlineNodes
-                            ? guardVar(cg, g, cse)
-                            : guardExpr(cg, g);
-        }
+        guards[i] = cg.gvRef(slot->second.index);
+        if (slot->second.writer == ds[i])
+            writes += ind + guards[i] + " = " + gw.local(root) + ";\n";
     }
 
-    std::string base;
+    std::string base = "0ull";
     if (int32_t m = cg.sched.modelOf(port); m >= 0)
         base = modelOutExpr(cg, cg.prims[m], port);
-    else
-        base = "0ull";
 
-    std::string s = cse.stmts + pool;
+    std::string stmts = gw.stmts + writes;
     if (ds.size() <= selectChainMax) {
-        // Few drivers: keep the branchless select, just with pooled
-        // guard locals instead of inline guard expressions.
         std::string expr = base;
         for (size_t i = 0; i < ds.size(); ++i) {
             if (guards[i].empty())
-                expr = srcExpr(cg, *ds[i]);
+                expr = srcExpr(cg, *ds[i]); // Earlier drivers never win.
             else
                 expr = "(" + guards[i] + " ? " + srcExpr(cg, *ds[i]) +
                        " : " + expr + ")";
         }
-        s += ind + "uint64_t " + var + " = " + expr + ";\n";
-        return s;
+        if (stmts.empty())
+            return expr;
+        block += stmts + ind + "uint64_t " + var + " = " + expr + ";\n";
+        return var;
     }
-    s += ind + "uint64_t " + var + " = " + base + ";\n";
+    block += stmts + ind + "uint64_t " + var + " = " + base + ";\n";
     for (size_t i = 0; i < ds.size(); ++i) {
         if (guards[i].empty())
-            s += ind + var + " = " + srcExpr(cg, *ds[i]) + ";\n";
-        else if (cg.L > 1)
-            // Lane modules keep deep fan-in branchless: sequential
-            // selects are the same last-active-wins fold as the
-            // if-chain, stay linear for the host compiler, and
-            // if-convert into vector blends instead of defeating the
-            // lane loop's vectorization with control flow.
-            s += ind + var + " = " + guards[i] + " ? " +
-                 srcExpr(cg, *ds[i]) + " : " + var + ";\n";
+            block += ind + var + " = " + srcExpr(cg, *ds[i]) + ";\n";
         else
-            s += ind + "if (" + guards[i] + ") " + var + " = " +
-                 srcExpr(cg, *ds[i]) + ";\n";
+            block += ind + var + " = " + guards[i] + " ? " +
+                     srcExpr(cg, *ds[i]) + " : " + var + ";\n";
     }
-    return s;
+    return var;
 }
 
 /**
@@ -636,7 +541,7 @@ foldConstants(Codegen &cg)
             continue;
         uint32_t p = cg.sched.memberPorts()[node.first];
         const auto &ds = cg.drivers[p];
-        if (ds.size() == 1 && ds[0]->guard.nodes.empty()) {
+        if (ds.size() == 1 && ds[0]->guardRoot == GuardDag::alwaysTrue) {
             const SAssign *a = ds[0];
             if (a->srcConst) {
                 cg.folded[p] = 1;
@@ -662,42 +567,35 @@ foldConstants(Codegen &cg)
 
 /**
  * Dedupe big guards into a per-eval value pool. A lowered group's
- * enable guard (hundreds of SExpr nodes of FSM range checks) is
- * attached to every assignment in the group, so the identical
- * expression would be re-emitted — and re-evaluated — for every port
- * the group drives. Instead, each distinct big guard gets a slot in
- * the generated instance's `gv[]` array, computed once per eval by the
- * statement of the first acyclic port that reads it; every later
- * reader loads the slot. Topological order makes this sound: every
- * reader's node is scheduled after all of the guard's input ports, so
- * by first use the inputs are settled and cannot change for the rest
- * of the eval. Cyclic (SCC) members keep inline re-evaluation — their
- * inputs do change mid-loop, and the interpreter's fixed-point
- * trajectory must be reproduced exactly.
+ * enable guard (hundreds of tree nodes of FSM range checks) guards
+ * every assignment in the group, so it would be re-evaluated for every
+ * port the group drives. Instead each guard DAG root of more than
+ * guardInlineNodes tree nodes that an acyclic port reads gets a slot in
+ * the generated instance's `gv[]` array, written once per eval by the
+ * statement of its first reader in schedule order; every later reader
+ * loads the slot. Topological order makes this sound: every reader's
+ * node is scheduled after all of the guard's input ports, so by first
+ * use the inputs are settled and cannot change for the rest of the
+ * eval. Cyclic (SCC) members keep inline re-evaluation: their inputs
+ * do change mid-loop, and the interpreter's fixed-point trajectory
+ * must be reproduced exactly.
  */
 void
 buildGuardPool(Codegen &cg)
 {
-    std::unordered_map<std::string, uint32_t> by_text;
-    const auto &nodes = cg.sched.nodes();
-    for (uint32_t ni = 0; ni < nodes.size(); ++ni) {
-        const SimSchedule::Node &node = nodes[ni];
+    for (const SimSchedule::Node &node : cg.sched.nodes()) {
         if (node.cyclic)
             continue;
         uint32_t p = cg.sched.memberPorts()[node.first];
         if (cg.folded[p] || !cg.computed[p])
             continue;
         for (const SAssign *a : cg.drivers[p]) {
-            if (a->guard.nodes.size() <= guardInlineNodes)
-                continue;
-            std::string key = guardExpr(cg, a->guard);
-            auto [it, fresh] = by_text.emplace(
-                key, static_cast<uint32_t>(cg.guardPool.size()));
-            if (fresh) {
-                cg.guardPool.push_back(&a->guard);
-                cg.guardHome.push_back(p);
+            uint32_t root = a->guardRoot;
+            if (root != GuardDag::alwaysTrue &&
+                cg.treeSize[root] > guardInlineNodes) {
+                auto index = static_cast<uint32_t>(cg.slots.size());
+                cg.slots.emplace(root, Codegen::Slot{index, a});
             }
-            cg.guardIdOf.emplace(a, it->second);
         }
     }
 }
@@ -717,19 +615,17 @@ nodeStmt(const Codegen &cg, const SimSchedule::Node &node,
         uint32_t p = mem[0];
         if (cg.folded[p] || !cg.computed[p])
             return "";
-        if (!needsBlock(cg, p)) {
-            std::string stmt =
-                "  " + cg.vref(p) + " = " + portExpr(cg, p) + ";\n";
-            // Memory reads are indexed (gather) loads the vectorizer
-            // refuses; fusing one into a lane loop of otherwise clean
-            // selects makes the whole loop scalar. Isolate them.
-            if (fusable)
-                *fusable = cg.L == 1 ||
-                           stmt.find("s->mems[") == std::string::npos;
-            return stmt;
-        }
-        return "  {\n" + portValueStmts(cg, p, "v", "    ", false) +
-               "    " + cg.vref(p) + " = v;\n  }\n";
+        std::string block;
+        std::string v = portValueStmts(cg, p, "v", "    ", false, block);
+        if (!block.empty())
+            return "  {\n" + block + "    " + cg.vref(p) + " = v;\n  }\n";
+        std::string stmt = "  " + cg.vref(p) + " = " + v + ";\n";
+        // Memory reads are indexed (gather) loads the vectorizer
+        // refuses; fusing one into a lane loop of otherwise clean
+        // selects makes the whole loop scalar. Isolate them.
+        if (fusable)
+            *fusable = cg.L == 1 || stmt.find("s->mems[") == std::string::npos;
+        return stmt;
     }
 
     // Non-trivial SCC: bounded Gauss–Seidel fixed point over the
@@ -754,8 +650,11 @@ nodeStmt(const Codegen &cg, const SimSchedule::Node &node,
         uint32_t p = mem[i];
         if (!cg.computed[p])
             continue;
-        std::string pv = cg.vref(p);
-        s += "      {\n" + portValueStmts(cg, p, "nv", "        ", true);
+        std::string pv = cg.vref(p), block;
+        std::string nv = portValueStmts(cg, p, "nv", "        ", true, block);
+        if (block.empty())
+            block = "        uint64_t nv = " + nv + ";\n";
+        s += "      {\n" + block;
         s += "        if (nv != " + pv + ") { " + pv +
              " = nv; ch = true; }\n      }\n";
     }
@@ -935,7 +834,7 @@ constexpr size_t laneFuseBytes = 256 * 1024;
 /**
  * Lane modules: wrap every statement in a per-lane loop. Runs of
  * fusable single-line statements (trivial acyclic ports, register
- * clocks) share one loop; block statements (if-chains, SCC fixed
+ * clocks) share one loop; block statements (mux blocks, SCC fixed
  * points, memory/pipe clocks) each get their own. Statement order is
  * preserved inside a fused body, so each lane still sees the exact
  * scalar schedule order; lanes are independent, so the changed
@@ -1131,11 +1030,9 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
     os << "constexpr uint32_t kNumPorts = " << cg.numPorts << ";\n";
     os << "constexpr uint32_t kNumRegs = " << cg.numRegs << ";\n";
     os << "constexpr uint32_t kNumMems = " << cg.numMems << ";\n";
-    os << "constexpr uint32_t kNumGuards = " << cg.guardPool.size()
-       << ";\n";
+    os << "constexpr uint32_t kNumGuards = " << cg.slots.size() << ";\n";
     os << "constexpr int kMaxIters = " << sim::maxCombPasses << ";\n";
-    if (cg.L > 1)
-        os << "constexpr uint32_t kLanes = " << cg.L << ";\n";
+    os << "constexpr uint32_t kLanes = " << cg.L << ";\n";
     os << "\n";
 
     os << "struct CppsimInst {\n";
@@ -1246,12 +1143,7 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
     os << "extern \"C\" {\n";
     os << "uint32_t cppsim_abi() { return " << cppsimAbiVersion << "; }\n";
     os << "uint32_t cppsim_num_ports() { return kNumPorts; }\n";
-    if (cg.L > 1) {
-        // Scalar modules omit the symbol entirely (sources, and hence
-        // cache digests, predate lane support); the loader treats its
-        // absence as lanes == 1.
-        os << "uint32_t cppsim_num_lanes() { return kLanes; }\n";
-    }
+    os << "uint32_t cppsim_num_lanes() { return kLanes; }\n";
     os << "uint32_t cppsim_num_regs() { return kNumRegs; }\n";
     os << "uint32_t cppsim_num_mems() { return kNumMems; }\n";
     os << "uint64_t cppsim_mem_size(uint32_t i) {\n";

@@ -18,8 +18,10 @@ namespace calyx::emit {
  * module walks the Tarjan-condensed topological order of the port
  * dependency graph (sim/schedule.h): one statement per port over a
  * dense `uint64_t vals[]` array indexed by the existing dense port
- * ids, guards folded to branchless integer selects, primitive
- * semantics inlined per cell, and non-trivial SCCs emitted as bounded
+ * ids, guards read from SimProgram::guardDag() and folded to
+ * branchless integer selects (big guards through per-DAG-node locals
+ * and a module-wide pool of shared values), primitive semantics
+ * inlined per cell, and non-trivial SCCs emitted as bounded
  * Gauss–Seidel fixed-point loops that set the same port-naming
  * diagnostic the interpreter raises.
  *
@@ -72,7 +74,7 @@ void emitCppSim(const sim::SimProgram &prog, std::ostream &os,
                 const CppSimOptions &opts = {});
 
 /** Version of the generated C ABI; bumped on incompatible changes. */
-constexpr uint32_t cppsimAbiVersion = 1;
+constexpr uint32_t cppsimAbiVersion = 2;
 
 /**
  * Shard seam marker in the generated source. The module is laid out as
@@ -80,7 +82,7 @@ constexpr uint32_t cppsimAbiVersion = 1;
  * one per chunk function and a final tail holding single definitions
  * and the C ABI. The JIT driver (sim/compiled.cc) may split on these
  * lines, grouping contiguous segments into one [prologue + segments]
- * translation unit per hardware thread and compiling them in parallel;
+ * translation unit per usable core and compiling them in parallel;
  * the markers are comments, so the file also builds as one unit.
  */
 constexpr const char *cppsimShardMarker = "//--cppsim-shard--";

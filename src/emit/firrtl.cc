@@ -49,7 +49,7 @@ refExpr(const PortRef &p)
 }
 
 std::string
-guardExpr(const GuardPtr &g)
+firrtlGuard(const GuardPtr &g)
 {
     switch (g->kind()) {
       case Guard::Kind::True:
@@ -57,12 +57,12 @@ guardExpr(const GuardPtr &g)
       case Guard::Kind::Port:
         return refExpr(g->port());
       case Guard::Kind::Not:
-        return "not(" + guardExpr(g->left()) + ")";
+        return "not(" + firrtlGuard(g->left()) + ")";
       case Guard::Kind::And:
-        return "and(" + guardExpr(g->left()) + ", " +
-               guardExpr(g->right()) + ")";
+        return "and(" + firrtlGuard(g->left()) + ", " +
+               firrtlGuard(g->right()) + ")";
       case Guard::Kind::Or:
-        return "or(" + guardExpr(g->left()) + ", " + guardExpr(g->right()) +
+        return "or(" + firrtlGuard(g->left()) + ", " + firrtlGuard(g->right()) +
                ")";
       case Guard::Kind::Cmp: {
         const char *op = nullptr;
@@ -220,7 +220,7 @@ FirrtlBackend::emitComponent(const Component &comp, const Context &ctx,
         Width width = comp.portWidth(dst);
         std::string expr = uintLit(width, 0);
         for (auto it = assigns.rbegin(); it != assigns.rend(); ++it) {
-            expr = "mux(" + guardExpr((*it)->guard) + ", " +
+            expr = "mux(" + firrtlGuard((*it)->guard) + ", " +
                    refExpr((*it)->src) + ", " + expr + ")";
         }
         os << "    " << refExpr(dst) << " <= " << expr << "\n";

@@ -24,7 +24,7 @@ wireName(const PortRef &p)
 }
 
 std::string
-guardExpr(const GuardPtr &g)
+verilogGuard(const GuardPtr &g)
 {
     switch (g->kind()) {
       case Guard::Kind::True:
@@ -32,13 +32,13 @@ guardExpr(const GuardPtr &g)
       case Guard::Kind::Port:
         return wireName(g->port());
       case Guard::Kind::Not:
-        return "~(" + guardExpr(g->left()) + ")";
+        return "~(" + verilogGuard(g->left()) + ")";
       case Guard::Kind::And:
-        return "(" + guardExpr(g->left()) + " & " +
-               guardExpr(g->right()) + ")";
+        return "(" + verilogGuard(g->left()) + " & " +
+               verilogGuard(g->right()) + ")";
       case Guard::Kind::Or:
-        return "(" + guardExpr(g->left()) + " | " +
-               guardExpr(g->right()) + ")";
+        return "(" + verilogGuard(g->left()) + " | " +
+               verilogGuard(g->right()) + ")";
       case Guard::Kind::Cmp:
         return "(" + wireName(g->lhs()) + " " +
                Guard::cmpOpStr(g->cmpOp()) + " " + wireName(g->rhs()) +
@@ -102,7 +102,7 @@ VerilogBackend::emitComponent(const Component &comp, const Context &ctx,
          groupAssignmentsByDst(comp.continuousAssignments())) {
         os << "  assign " << wireName(dst) << " =\n";
         for (const auto *a : assigns) {
-            os << "    " << guardExpr(a->guard) << " ? "
+            os << "    " << verilogGuard(a->guard) << " ? "
                << wireName(a->src) << " :\n";
         }
         os << "    '0;\n";

@@ -7,7 +7,6 @@
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include <dlfcn.h>
@@ -119,7 +118,7 @@ writeFile(const std::string &path, const std::string &data)
 }
 
 /**
- * Process-wide registry of loaded modules by source digest. weak_ptr
+ * Process-wide registry of loaded modules by digest. weak_ptr
  * so a module unloads (dlclose) once every SimState using it is gone,
  * while concurrent users share one handle.
  */
@@ -141,7 +140,7 @@ registry()
  * Build shard translation units from the generated source: the common
  * prologue (everything before the first marker line, declarations only)
  * plus a contiguous, byte-balanced run of marker-delimited segments per
- * shard. At most `groups` shards come back — one per hardware thread is
+ * shard. At most `groups` shards come back — one per usable core is
  * the useful maximum, because every extra shard re-parses the prologue
  * (which grows with design size: the instance struct declares per-
  * primitive state) for no extra parallelism. A source without markers,
@@ -186,21 +185,20 @@ splitShards(const std::string &source, size_t groups)
  * as parallel shards (compiler startup dominates). */
 constexpr size_t shardSourceBytes = 256 * 1024;
 
-/** Compile `source` into the shared object `tmp`. Sources build as a
- * single translation unit unless the host has multiple hardware
- * threads and the source is big and marker-split, in which case one
- * byte-balanced object per thread is compiled in parallel, then
- * linked. fatal() on any failure. */
+/** Compile `source` into the shared object `tmp` with `cxx` and
+ * `flags`. Sources build as a single translation unit unless the
+ * process may run on several cores and the source is big and
+ * marker-split, in which case one byte-balanced object per usable core
+ * is compiled in parallel, then linked. fatal() on any failure. */
 void
-compileSource(const std::string &cxx, const std::string &source,
-              const std::string &cc, const std::string &tmp, uint32_t lanes)
+compileSource(const std::string &cxx, const std::vector<std::string> &flags,
+              const std::string &source, const std::string &cc,
+              const std::string &tmp)
 {
-    std::vector<std::string> flags = compileFlags(source.size(), lanes);
-    size_t hw = std::thread::hardware_concurrency();
     std::vector<std::string> shards =
         source.size() < shardSourceBytes
             ? std::vector<std::string>{source}
-            : splitShards(source, hw ? hw : 1);
+            : splitShards(source, WorkPool::defaultThreads());
 
     if (shards.size() <= 1) {
         std::vector<std::string> argv{cxx};
@@ -237,9 +235,9 @@ compileSource(const std::string &cxx, const std::string &source,
     // Shard compiles go through the process-wide WorkPool rather than a
     // private thread vector, so a serve host running simulations and
     // compiles at once keeps its combined thread count at the pool
-    // width instead of spiking to 2x (see support/pool.h).
-    unsigned workers = static_cast<unsigned>(
-        std::min(shards.size(), hw ? hw : size_t{2}));
+    // width instead of spiking to 2x (see support/pool.h). There is
+    // one shard per usable core at most, so each gets a participant.
+    unsigned workers = static_cast<unsigned>(shards.size());
     std::mutex failMutex;
     std::string failure;
     auto work = [&](size_t i) {
@@ -335,7 +333,14 @@ CompiledModule::load(const SimProgram &prog, uint32_t lanes)
     opts.lanes = lanes;
     emit::emitCppSim(prog, src, opts);
     std::string source = src.str();
-    std::string digest = contentDigest(source);
+    // The object depends on the compile command as much as the source:
+    // a module built under other flags or another compiler must miss.
+    std::string cxx = hostCompiler();
+    std::vector<std::string> flags = compileFlags(source.size(), lanes);
+    std::string command = cxx;
+    for (const std::string &f : flags)
+        command += " " + f;
+    std::string digest = contentDigest(command + "\n" + source);
 
     std::lock_guard<std::mutex> lock(registryMutex());
     if (auto existing = registry()[digest].lock())
@@ -353,7 +358,6 @@ CompiledModule::load(const SimProgram &prog, uint32_t lanes)
     mod->cached = fileExists(so);
 
     if (!mod->cached) {
-        std::string cxx = hostCompiler();
         if (cxx.empty())
             fatal("compiled engine: ", compiledEngineUnavailableReason());
 
@@ -364,7 +368,7 @@ CompiledModule::load(const SimProgram &prog, uint32_t lanes)
         // Compile into a pid-unique temporary, then atomically rename:
         // concurrent builds of the same program race benignly.
         std::string tmp = so + ".tmp." + std::to_string(getpid());
-        compileSource(cxx, source, cc, tmp, lanes);
+        compileSource(cxx, flags, source, cc, tmp);
         if (rename(tmp.c_str(), so.c_str()) != 0) {
             unlink(tmp.c_str());
             fatal("compiled engine: cannot move ", tmp, " to ", so, ": ",
@@ -389,10 +393,8 @@ CompiledModule::load(const SimProgram &prog, uint32_t lanes)
                                            so)();
     mod->mems = resolveSym<uint32_t (*)()>(mod->handle, "cppsim_num_mems",
                                            so)();
-    // Optional symbol: scalar modules predate lane support and omit it.
-    auto num_lanes = reinterpret_cast<uint32_t (*)()>(
-        dlsym(mod->handle, "cppsim_num_lanes"));
-    mod->lanes = num_lanes ? num_lanes() : 1;
+    mod->lanes = resolveSym<uint32_t (*)()>(mod->handle,
+                                            "cppsim_num_lanes", so)();
     if (mod->lanes != lanes) {
         fatal("compiled engine: ", so, " was built for ", mod->lanes,
               " lanes but ", lanes,

@@ -16,8 +16,9 @@ class SimProgram;
  * toolchain into a shared object, dlopen()s it, and exposes the
  * `cppsim_*` C ABI behind a typed interface consumed by SimState.
  *
- * Modules are content-addressed: the generated source is hashed
- * (support/hash.h) and the object cached on disk under
+ * Modules are content-addressed: the compile command (compiler and
+ * flags) and the generated source are hashed together
+ * (support/hash.h), and the object cached on disk under
  *
  *   $CALYX_CPPSIM_CACHE, else $XDG_CACHE_HOME/calyx-cppsim,
  *   else $HOME/.cache/calyx-cppsim, else /tmp/calyx-cppsim
@@ -30,11 +31,13 @@ class SimProgram;
  * SimStates over the same program share one dlopen() handle.
  *
  * The toolchain is `$CXX` when set, else the first of c++/g++/clang++
- * on PATH, invoked as `<cxx> -O2 -shared -fPIC -std=c++17` (override
- * the flags with $CALYX_CPPSIM_CXXFLAGS, whitespace-separated). When
- * no compiler exists the constructor fatal()s with the reason
- * compiledEngineUnavailableReason() reports, so callers can probe and
- * fall back gracefully.
+ * on PATH, invoked as `<cxx> -O<n> -shared -fPIC -std=c++17`, where
+ * the level falls as the source grows and lane modules add
+ * `-march=native` (override the flags with $CALYX_CPPSIM_CXXFLAGS,
+ * whitespace-separated). Big sources build as one shard per usable
+ * core, compiled in parallel and linked. When no compiler exists the
+ * constructor fatal()s with the reason compiledEngineUnavailableReason()
+ * reports, so callers can probe and fall back gracefully.
  */
 class CompiledModule
 {

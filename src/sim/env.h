@@ -277,9 +277,10 @@ class SimProgram
         const std::function<void(const SAssign &, bool continuous)> &fn)
         const;
 
-    /** Every assignment's guard, hash-consed (see GuardDag). The
-     * levelized engine evaluates guards here; Jacobi, cppsim, the
-     * profiler and SimSchedule keep reading the SExpr trees. */
+    /** Every assignment's guard, hash-consed (see GuardDag). Both fast
+     * engines read guards here: the levelized engine evaluates them and
+     * cppsim emits them. Jacobi, the profiler and SimSchedule keep
+     * reading the SExpr trees. */
     const GuardDag &guardDag() const { return dag; }
 
     /**

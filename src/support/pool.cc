@@ -1,6 +1,9 @@
 #include "support/pool.h"
 
+#include <algorithm>
 #include <exception>
+
+#include <sched.h>
 
 namespace calyx {
 
@@ -49,6 +52,12 @@ WorkPool::global()
 unsigned
 WorkPool::defaultThreads()
 {
+    // The affinity mask, not hardware_concurrency(): a process pinned
+    // to one CPU (taskset, a bench round) has one core to spread over.
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof set, &set) == 0)
+        return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

@@ -66,7 +66,8 @@ class WorkPool
     static unsigned peakParticipants();
     static void resetPeakParticipants();
 
-    /** A sensible default worker count: hardware_concurrency, >= 1. */
+    /** Usable cores: the CPUs in the calling thread's affinity mask,
+     * >= 1. */
     static unsigned defaultThreads();
 
   private:

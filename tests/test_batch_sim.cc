@@ -7,10 +7,12 @@
  * lanes take divergent control paths (a while loop bounded by a value
  * loaded from memory) and batches cut into tiles whose tail runs
  * either padded or (compiled engine, short tails) on the scalar module.
- * Also covers the work-stealing pool the tiles are spread over, and
- * the construction-time rejections (groups, the Jacobi oracle).
+ * Also covers the work-stealing pool the tiles are spread over and its
+ * usable-core count, and the construction-time rejections (groups,
+ * the Jacobi oracle).
  */
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <chrono>
@@ -429,6 +431,27 @@ TEST(WorkPool, ConcurrentCallersDoNotStackThreads)
     b.join();
     EXPECT_GE(WorkPool::peakParticipants(), 1u);
     EXPECT_LE(WorkPool::peakParticipants(), 2u);
+}
+
+TEST(WorkPool, DefaultThreadsCountsTheAffinityMask)
+{
+    // A thread pinned to one CPU has one usable core, however many the
+    // host has: hardware_concurrency() ignores the mask.
+    cpu_set_t all;
+    CPU_ZERO(&all);
+    ASSERT_EQ(sched_getaffinity(0, sizeof all, &all), 0);
+    EXPECT_EQ(WorkPool::defaultThreads(),
+              static_cast<unsigned>(CPU_COUNT(&all)));
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &all))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    unsigned pinned = WorkPool::defaultThreads();
+    ASSERT_EQ(sched_setaffinity(0, sizeof all, &all), 0);
+    EXPECT_EQ(pinned, 1u);
 }
 
 TEST(WorkPool, NestedParallelismIsCappedNotStacked)

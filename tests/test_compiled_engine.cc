@@ -3,8 +3,9 @@
  * driver behind `--sim-engine=compiled`. Covers engine-name parsing
  * with did-you-mean, backend registration, end-to-end equivalence on
  * the canonical counter program, the content-addressed disk cache
- * (second load must not recompile or add files), rejection of forces
- * on computed ports, and rejection of unlowered programs.
+ * (second load must not recompile or add files; other compile flags
+ * must miss), rejection of forces on computed ports, and rejection of
+ * unlowered programs.
  *
  * Everything that invokes the host toolchain is skipped — not failed —
  * when compiledEngineUnavailableReason() reports no compiler.
@@ -38,29 +39,51 @@ namespace fs = std::filesystem;
             GTEST_SKIP() << reason;                                       \
     } while (0)
 
+/** Set one environment variable (unset it for nullptr) for a scope. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name(name)
+    {
+        const char *old = std::getenv(name);
+        hadOld = old != nullptr;
+        if (hadOld)
+            oldVal = old;
+        set(value);
+    }
+
+    ~ScopedEnv() { set(hadOld ? oldVal.c_str() : nullptr); }
+
+    void
+    set(const char *value)
+    {
+        if (value)
+            ::setenv(name, value, 1);
+        else
+            ::unsetenv(name);
+    }
+
+  private:
+    const char *name;
+    std::string oldVal;
+    bool hadOld = false;
+};
+
 /** Point $CALYX_CPPSIM_CACHE at a fresh directory for one test. */
 class ScopedCacheDir
 {
   public:
     ScopedCacheDir()
-    {
-        const char *old = std::getenv("CALYX_CPPSIM_CACHE");
-        hadOld = old != nullptr;
-        if (hadOld)
-            oldVal = old;
-        dir = (fs::temp_directory_path() /
+        : dir((fs::temp_directory_path() /
                ("calyx-cppsim-test-" + std::to_string(::getpid())))
-                  .string();
+                  .string()),
+          env("CALYX_CPPSIM_CACHE", dir.c_str())
+    {
         fs::remove_all(dir);
-        ::setenv("CALYX_CPPSIM_CACHE", dir.c_str(), 1);
     }
 
     ~ScopedCacheDir()
     {
-        if (hadOld)
-            ::setenv("CALYX_CPPSIM_CACHE", oldVal.c_str(), 1);
-        else
-            ::unsetenv("CALYX_CPPSIM_CACHE");
         std::error_code ec;
         fs::remove_all(dir, ec);
     }
@@ -79,8 +102,8 @@ class ScopedCacheDir
     }
 
   private:
-    std::string dir, oldVal;
-    bool hadOld = false;
+    std::string dir;
+    ScopedEnv env;
 };
 
 TEST(CompiledEngine, ParseEngineDidYouMean)
@@ -190,6 +213,35 @@ TEST(CompiledEngine, DiskCacheSkipsRecompilation)
         cs.run();
         EXPECT_EQ(*sp.findModel("x")->registerValue(), 8u);
     }
+}
+
+TEST(CompiledEngine, CacheKeyCoversCompileFlags)
+{
+    SKIP_WITHOUT_TOOLCHAIN();
+    ScopedCacheDir cache;
+    ScopedEnv flags("CALYX_CPPSIM_CXXFLAGS",
+                    "-O0 -shared -fPIC -std=c++17");
+
+    // The same source built under other flags is another object: a
+    // cached -O0 build must not stand in for an -O1 one.
+    Context ctx = testing::counterProgram(4, 2);
+    passes::runPipeline(ctx, "all");
+    std::string o0;
+    {
+        sim::SimProgram sp(ctx, "main");
+        auto mod = sp.compiledModule();
+        EXPECT_FALSE(mod->fromCache());
+        o0 = mod->objectPath();
+    } // Release the module so the process-wide registry entry expires.
+
+    flags.set("-O1 -shared -fPIC -std=c++17");
+    sim::SimProgram sp(ctx, "main");
+    auto mod = sp.compiledModule();
+    EXPECT_FALSE(mod->fromCache()) << "reused the object built with -O0";
+    EXPECT_NE(mod->objectPath(), o0);
+    sim::CycleSim cs(sp, sim::Engine::Compiled);
+    cs.run();
+    EXPECT_EQ(*sp.findModel("x")->registerValue(), 8u);
 }
 
 TEST(CompiledEngine, SharedModuleAcrossStates)

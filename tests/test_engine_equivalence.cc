@@ -236,20 +236,25 @@ TEST(EngineEquivalence, GuardedCycleSettlesEverywhere)
 }
 
 /**
- * A guarded SCC whose member guard shares its subterm S with an acyclic
- * reader downstream, inside a loop whose groups change every cycle:
+ * A guarded SCC whose member guard S is shared with an acyclic reader
+ * downstream, inside a loop whose groups change every cycle:
  *
  *   w1.in  = en.out ? i.out                   (feeds the SCC)
  *   w2.in  = !(z.out == 1) ? w1.out           (SCC edge z.out -> w2.in)
- *   z.in   = S ? 9, S = (w2.out >= 2) & en.out (SCC edge w2.out -> z.in)
+ *   z.in   = S ? 9, S = (w2.out >= 2) & en.out & T
+ *                                             (SCC edge w2.out -> z.in)
  *   rv.in  = S ? 100                          (downstream reader of S)
  *
- * `en` is driven only by the `bump` group, so the SCC re-settles each
- * time bump starts, and S moves mid-fixed-point when z.in is visited
- * before w2.out in the Gauss-Seidel sweep. Member order comes from the
- * SCC search, so a second copy declares its wires in reverse order.
- * bump accumulates z + rv into acc0/acc1: four iterations (i = 2..5)
- * with S true add 4 * 109 = 436, so both end at 436 mod 256 = 180.
+ * T is a conjunction of tautologies (i.out != k) | (i.out == k) that
+ * widens S past cppsim's 64-tree-node inline limit: the compiled
+ * engine pools S in a `gv[]` slot for rv.in, while z.in must
+ * re-evaluate it on every sweep. `en` is driven only by the `bump`
+ * group, so the SCC re-settles each time bump starts, and S moves
+ * mid-fixed-point when z.in is visited before w2.out in the
+ * Gauss-Seidel sweep. Member order comes from the SCC search, so a
+ * second copy declares its wires in reverse order. bump accumulates
+ * z + rv into acc0/acc1: four iterations (i = 2..5) with S true add
+ * 4 * 109 = 436, so both end at 436 mod 256 = 180.
  */
 Context
 sharedGuardSccProgram()
@@ -283,6 +288,15 @@ sharedGuardSccProgram()
                                             cellPort(w, "out"),
                                             constant(2, 8)),
                                  en);
+        for (uint64_t v = 0; v < 16; ++v) {
+            s = Guard::conj(
+                s, Guard::disj(Guard::cmp(Guard::CmpOp::Neq,
+                                          cellPort("i", "out"),
+                                          constant(v, 8)),
+                               Guard::cmp(Guard::CmpOp::Eq,
+                                          cellPort("i", "out"),
+                                          constant(v, 8))));
+        }
         assigns.emplace_back(
             cellPort(w, "in"), cellPort("w1", "out"),
             Guard::negate(Guard::cmp(Guard::CmpOp::Eq, cellPort(z, "out"),
@@ -340,7 +354,8 @@ TEST(EngineEquivalence, GuardMemoMatchesJacobiAroundSharedGuardScc)
     EXPECT_EQ(jacobiCycles, cycles) << "interpreter";
     EXPECT_EQ(jacobi, state) << "interpreter";
 
-    // Lowered: the scalar walk and batch lane tiles.
+    // Lowered: the scalar walk and batch lane tiles on every fast
+    // engine.
     Context ctx = sharedGuardSccProgram();
     passes::runPipeline(ctx, "all");
     auto run = [&](sim::Engine engine, uint64_t *cycles) {
@@ -352,34 +367,49 @@ TEST(EngineEquivalence, GuardMemoMatchesJacobiAroundSharedGuardScc)
         return sim::archState(sp);
     };
     auto lowered = run(sim::Engine::Jacobi, &jacobiCycles);
-    state = run(sim::Engine::Levelized, &cycles);
-    EXPECT_EQ(jacobiCycles, cycles) << "lowered";
-    EXPECT_EQ(lowered, state) << "lowered";
+    for (sim::Engine engine : comparisonEngines()) {
+        state = run(engine, &cycles);
+        EXPECT_EQ(jacobiCycles, cycles) << "lowered, "
+                                        << sim::engineName(engine);
+        EXPECT_EQ(lowered, state) << "lowered, " << sim::engineName(engine);
+    }
 
     // No memories, so the flattened arch state is the register slots.
     std::vector<uint64_t> regs;
     for (const auto &slot : lowered)
         regs.push_back(slot.at(0));
     sim::SimProgram sp(ctx, "main");
-    // One-lane tiles (with two threads, three concurrent tiles, each a
-    // SimState with its own memo plane), and one three-lane tile whose
-    // lanes share one walk of the SCC sweep.
+    // S really is past the inline limit after lowering.
+    const auto &cont = sp.root().continuous;
+    auto zIn = std::find_if(cont.begin(), cont.end(), [&](const auto &a) {
+        return a.dst == sp.portId("z_0.in");
+    });
+    ASSERT_NE(zIn, cont.end());
+    EXPECT_GT(zIn->guard.nodes.size(), 64u);
+    // One-lane tiles (with two threads, three concurrent tiles, each
+    // with its own memo plane or module instance), and one three-lane
+    // tile whose lanes share one walk of the SCC sweep.
     struct Shape
     {
         uint32_t laneTile;
         unsigned threads;
     };
-    for (Shape shape : {Shape{1, 1}, Shape{1, 2}, Shape{3, 1}}) {
-        sim::BatchOptions opts;
-        opts.engine = sim::Engine::Levelized;
-        opts.laneTile = shape.laneTile;
-        opts.threads = shape.threads;
-        std::string label = "batch, tile " + std::to_string(shape.laneTile) +
-                            " x" + std::to_string(shape.threads);
-        auto lanes = sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
-        for (const sim::LaneResult &r : lanes) {
-            EXPECT_EQ(jacobiCycles, r.cycles) << label;
-            EXPECT_EQ(regs, r.regs) << label;
+    for (sim::Engine engine : comparisonEngines()) {
+        for (Shape shape : {Shape{1, 1}, Shape{1, 2}, Shape{3, 1}}) {
+            sim::BatchOptions opts;
+            opts.engine = engine;
+            opts.laneTile = shape.laneTile;
+            opts.threads = shape.threads;
+            std::string label = std::string("batch, ") +
+                                sim::engineName(engine) + ", tile " +
+                                std::to_string(shape.laneTile) + " x" +
+                                std::to_string(shape.threads);
+            auto lanes =
+                sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
+            for (const sim::LaneResult &r : lanes) {
+                EXPECT_EQ(jacobiCycles, r.cycles) << label;
+                EXPECT_EQ(regs, r.regs) << label;
+            }
         }
     }
 }

@@ -5,6 +5,7 @@
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "sim/batch.h"
+#include "sim/compiled.h"
 #include "sim/env.h"
 #include "support/error.h"
 
@@ -237,7 +238,9 @@ TEST(SimEdge, DeepGuardUsesHeapScratch)
     // no bound check; guards now carry their compile-time max depth and
     // fall back to heap scratch. The levelized engine evaluates the same
     // guard through the guard DAG's explicit stack on both its walks:
-    // scalar and the batch lane tile.
+    // scalar and the batch lane tile. The compiled engine emits it
+    // through block locals, from the same DAG, into one `gv[]` slot
+    // that both acyclic readers share.
     Context ctx;
     Component &comp = ctx.addComponent("main");
     comp.addCell("f", "std_reg", {1}, ctx);
@@ -252,7 +255,12 @@ TEST(SimEdge, DeepGuardUsesHeapScratch)
     assigns.emplace_back(thisPort("done"), cellPort("x", "done"));
 
     sim::SimProgram sp(ctx, "main");
-    for (sim::Engine engine : {sim::Engine::Jacobi, sim::Engine::Levelized}) {
+    std::vector<sim::Engine> fast = {sim::Engine::Levelized};
+    if (sim::compiledEngineUnavailableReason().empty())
+        fast.push_back(sim::Engine::Compiled);
+    std::vector<sim::Engine> scalar = fast;
+    scalar.insert(scalar.begin(), sim::Engine::Jacobi);
+    for (sim::Engine engine : scalar) {
         sim::SimState st(sp, engine);
         st.reset();
         st.beginCycle();
@@ -263,20 +271,25 @@ TEST(SimEdge, DeepGuardUsesHeapScratch)
     }
 
     // One-lane tiles: with two threads the three stimuli run as three
-    // concurrent tiles, each walking its own guard memo plane.
-    for (unsigned threads : {1u, 2u}) {
-        sim::BatchOptions opts;
-        opts.engine = sim::Engine::Levelized;
-        opts.laneTile = 1;
-        opts.threads = threads;
-        auto results =
-            sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
-        ASSERT_EQ(results.size(), 3u);
-        for (const sim::LaneResult &r : results) {
-            // Cycle 1 writes x; x.done raises the top done in cycle 2.
-            EXPECT_EQ(r.cycles, 2u) << "batch x" << threads;
-            EXPECT_EQ(r.regs, (std::vector<uint64_t>{0, 7}))
-                << "batch x" << threads;
+    // concurrent tiles, each walking its own guard memo plane or
+    // module instance.
+    for (sim::Engine engine : fast) {
+        for (unsigned threads : {1u, 2u}) {
+            sim::BatchOptions opts;
+            opts.engine = engine;
+            opts.laneTile = 1;
+            opts.threads = threads;
+            auto results =
+                sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
+            ASSERT_EQ(results.size(), 3u);
+            std::string label = std::string("batch, ") +
+                                sim::engineName(engine) + " x" +
+                                std::to_string(threads);
+            for (const sim::LaneResult &r : results) {
+                // Cycle 1 writes x; x.done raises the top done in cycle 2.
+                EXPECT_EQ(r.cycles, 2u) << label;
+                EXPECT_EQ(r.regs, (std::vector<uint64_t>{0, 7})) << label;
+            }
         }
     }
 }
