@@ -4,8 +4,10 @@
 # counts match the levelized engine, (2) the second run services every
 # module from the on-disk cache — no new files may appear in the cache
 # directory, proving the content-addressed digest is stable and the JIT
-# is skipped — and (3) a third, traced run (`--trace`) keeps the cycle
-# counts and adds no files either: observers read the same module.
+# is skipped — (3) a third, traced run (`--trace`) keeps the cycle
+# counts and adds no files either: observers read the same module — and
+# (4) concurrent cold builds of one module all succeed: 8 processes per
+# round, 10 rounds, each round on a fresh cache and pinned to one CPU.
 #
 # Skips (exit 0) when no host C++ compiler is available, since the
 # compiled engine is an optional acceleration, not a requirement.
@@ -43,6 +45,8 @@ if [ -z "$examples" ]; then
 fi
 
 export CALYX_CPPSIM_CACHE="$cache"
+tmp="${TMPDIR:-/tmp}"
+errlog=$(mktemp "$tmp/compiled_smoke_err.XXXXXX")
 failures=0
 
 run_all() {
@@ -50,10 +54,10 @@ run_all() {
     # Extra arguments are passed to every futil run.
     for example in $examples; do
         cycles=$("$futil" --sim --sim-engine=compiled "$@" "$example" \
-                     2>/tmp/compiled_smoke_err | awk '{ print $2 }')
+                     2>"$errlog" | awk '{ print $2 }')
         if [ -z "$cycles" ]; then
             echo "FAIL $example --sim-engine=compiled" >&2
-            cat /tmp/compiled_smoke_err >&2
+            cat "$errlog" >&2
             failures=$((failures + 1))
         fi
         echo "$example $cycles"
@@ -93,7 +97,7 @@ else
 fi
 
 # Third pass: traced. The trace must not need a module of its own.
-trace=$(mktemp /tmp/compiled_smoke_trace.XXXXXX)
+trace=$(mktemp "$tmp/compiled_smoke_trace.XXXXXX")
 third=$(run_all --trace "$trace")
 traced=$(ls "$cache" | wc -l)
 rm -f "$trace"
@@ -108,8 +112,45 @@ else
     echo "ok   traced run added no files ($traced in $cache)"
 fi
 
+# Fourth pass: concurrent cold builds of one digest. Each process
+# builds from files of its own and publishes by rename, so none may
+# read another's partly written source or object. Pinning every
+# process of a round to one CPU (taskset, where present) interleaves
+# them, and the module is small enough to build as one translation
+# unit whatever the host.
+pin=()
+if command -v taskset > /dev/null 2>&1; then
+    pin=(taskset -c 0)
+fi
+raced=0
+for round in $(seq 1 10); do
+    rcache=$(mktemp -d "$tmp/compiled_smoke_race.XXXXXX")
+    pids=()
+    for j in $(seq 1 8); do
+        CALYX_CPPSIM_CACHE="$rcache" ${pin[@]+"${pin[@]}"} "$futil" -p all \
+            --sim --sim-engine=compiled examples/counter.futil \
+            > /dev/null 2> "$rcache.err$j" &
+        pids+=($!)
+    done
+    for j in $(seq 1 8); do
+        if ! wait "${pids[$((j - 1))]}"; then
+            echo "FAIL concurrent cold build, round $round, process $j" >&2
+            cat "$rcache.err$j" >&2
+            raced=$((raced + 1))
+        fi
+    done
+    rm -rf "$rcache" "$rcache".err*
+done
+if [ $raced -ne 0 ]; then
+    failures=$((failures + raced))
+else
+    echo "ok   80 concurrent cold builds (8 per round, 10 rounds) succeeded"
+fi
+rm -f "$errlog"
+
 if [ $failures -ne 0 ]; then
     echo "compiled_smoke: $failures failure(s)" >&2
     exit 1
 fi
-echo "compiled_smoke: all examples ran compiled, cached and traced"
+echo "compiled_smoke: all examples ran compiled, cached and traced;" \
+    "concurrent cold builds succeeded"

@@ -1,7 +1,10 @@
 #include "emit/cppsim.h"
 
 #include <algorithm>
+#include <cctype>
+#include <climits>
 #include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -49,12 +52,23 @@ struct Prim
 {
     const Cell *cell = nullptr;
     std::string path;
-    size_t model = 0; ///< Index into SimProgram::models().
     int reg = -1;     ///< Register slot, or -1.
     int mem = -1;     ///< Memory slot, or -1.
     uint64_t memSize = 0;
     std::vector<uint64_t> memDims;
+    const char *pipes = nullptr; ///< Pipe-state array, or null.
+    int pipe = -1;               ///< Index into `pipes`.
 };
+
+/** Pipelined primitives keep their state in the instance struct, one
+ * `CppsimPipe` array per kind, so a rerolled loop can index it. */
+struct PipeKind
+{
+    const char *type, *array;
+};
+constexpr PipeKind pipeKinds[] = {{"std_mult_pipe", "mults"},
+                                  {"std_div_pipe", "divs"},
+                                  {"std_sqrt", "sqrts"}};
 
 /** Children of a guard DAG node: one for Not, two for And/Or. */
 int
@@ -105,6 +119,7 @@ struct Codegen
     std::unordered_map<uint32_t, Slot> slots;
 
     int numRegs = 0, numMems = 0;
+    int numPipes[std::size(pipeKinds)] = {};
 
     explicit Codegen(const SimProgram &p)
         : prog(p), sched(p.schedule()), dag(p.guardDag()),
@@ -216,7 +231,6 @@ collectPrims(Codegen &cg)
         Prim p;
         p.cell = &cell;
         p.path = mc.path.str();
-        p.model = cg.prims.size();
         const std::string &t = cell.type().str();
         if (t == "std_reg") {
             p.reg = cg.numRegs++;
@@ -228,6 +242,12 @@ collectPrims(Codegen &cg)
             p.memSize = 1;
             for (uint64_t d : p.memDims)
                 p.memSize *= d;
+        }
+        for (size_t k = 0; k < std::size(pipeKinds); ++k) {
+            if (t == pipeKinds[k].type) {
+                p.pipes = pipeKinds[k].array;
+                p.pipe = cg.numPipes[k]++;
+            }
         }
         cg.prims.push_back(std::move(p));
     }
@@ -359,10 +379,12 @@ trunc(const std::string &e, Width w)
     return "(" + e + " & " + hexLit(bitMask(w)) + ")";
 }
 
+/** Field `field` of a pipelined primitive's `CppsimPipe`. */
 std::string
 memberRef(const Codegen &cg, const Prim &p, const char *field)
 {
-    std::string m = "s->p" + std::to_string(p.model) + "_" + field;
+    std::string m = "s->" + std::string(p.pipes) + "[" +
+                    std::to_string(p.pipe) + "]." + field;
     return cg.L == 1 ? m : m + "[l]";
 }
 
@@ -454,6 +476,154 @@ modelOutExpr(const Codegen &cg, const Prim &p, uint32_t port)
     fatal("cppsim: no codegen for primitive ", t);
 }
 
+/** Groups of at least this many same-shape statements are emitted as
+ * one loop over a static table (rerollStmts). */
+constexpr size_t rerollMin = 8;
+
+/**
+ * A statement split at its holes: every integer literal and every
+ * string literal (a memory clock's cell name). Statements with equal
+ * keys differ only in their holes, so one loop body runs them all.
+ */
+struct Shape
+{
+    std::string key; ///< The text, each hole as '\1' (number) or '\2'.
+    std::vector<std::string> holes; ///< The literals, in text order.
+};
+
+Shape
+shapeOf(const std::string &s)
+{
+    auto word = [](char c) {
+        return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+    };
+    Shape sh;
+    for (size_t i = 0; i < s.size();) {
+        size_t j = i + 1;
+        if (s[i] == '"') {
+            while (j < s.size() && s[j] != '"')
+                j += s[j] == '\\' ? 2 : 1;
+            ++j;
+            sh.key += '\2';
+        } else if (std::isdigit(static_cast<unsigned char>(s[i])) &&
+                   (i == 0 || !word(s[i - 1]))) {
+            while (j < s.size() && word(s[j])) // digits, 0x, suffix
+                ++j;
+            sh.key += '\1';
+        } else {
+            sh.key += s[i++];
+            continue;
+        }
+        sh.holes.push_back(s.substr(i, j - i));
+        i = j;
+    }
+    return sh;
+}
+
+/**
+ * Statements of one shape as one `for (uint32_t i = 0; i < n; ++i)`
+ * loop over a function-local `static const` table, a row per statement
+ * in order. A hole equal in every row stays a literal; identical
+ * columns share one field. Bare decimal literals (port ids, state
+ * slots) make `uint32_t` index fields, other numbers `uint64_t` value
+ * fields, and strings `const char *` fields.
+ */
+std::string
+tableLoop(const std::vector<Shape> &rows, const std::string &ind)
+{
+    std::vector<std::vector<std::string>> cols;
+    std::vector<std::string> ref; ///< Per hole: body text.
+    for (size_t h = 0; h < rows[0].holes.size(); ++h) {
+        std::vector<std::string> col;
+        for (const Shape &r : rows)
+            col.push_back(r.holes[h]);
+        if (std::count(col.begin(), col.end(), col[0]) ==
+            static_cast<std::ptrdiff_t>(col.size())) {
+            ref.push_back(col[0]);
+            continue;
+        }
+        auto it = std::find(cols.begin(), cols.end(), col);
+        ref.push_back("kTab[i].f" + std::to_string(it - cols.begin()));
+        if (it == cols.end())
+            cols.push_back(std::move(col));
+    }
+
+    std::string s = ind + "{\n" + ind + "  static const struct {";
+    for (size_t f = 0; f < cols.size(); ++f) {
+        const char *type = "uint32_t ";
+        for (const std::string &lit : cols[f]) {
+            if (lit[0] == '"')
+                type = "const char *";
+            else if (lit.find_first_not_of("0123456789") !=
+                         std::string::npos ||
+                     std::stoull(lit) > UINT32_MAX)
+                type = "uint64_t ";
+        }
+        s += std::string(" ") + type + "f" + std::to_string(f) + ";";
+    }
+    s += " } kTab[] = {\n";
+    for (size_t r = 0; r < rows.size(); ++r) {
+        s += ind + "    {";
+        for (size_t f = 0; f < cols.size(); ++f)
+            s += (f ? ", " : "") + cols[f][r];
+        s += "},\n";
+    }
+    s += ind + "  };\n" + ind + "  for (uint32_t i = 0; i < " +
+         std::to_string(rows.size()) + "; ++i) {\n";
+    std::string body;
+    size_t h = 0;
+    for (char c : rows[0].key) {
+        if (body.empty() || body.back() == '\n')
+            body += "    ";
+        if (c == '\1' || c == '\2')
+            body += ref[h++];
+        else
+            body += c;
+    }
+    return s + body + ind + "  }\n" + ind + "}\n";
+}
+
+/**
+ * `stmts` with every group of at least rerollMin same-shape statements
+ * emitted as one tableLoop, indented by `ind`. A group is a run of
+ * consecutive statements; with `regroup`, which only statements that
+ * commute may ask for, it is every statement of one shape, emitted
+ * where the first one was. Statements of smaller groups stay as text.
+ */
+std::vector<std::string>
+rerollStmts(std::vector<std::string> stmts, bool regroup,
+            const std::string &ind)
+{
+    std::vector<Shape> shapes;
+    for (const std::string &s : stmts)
+        shapes.push_back(shapeOf(s));
+    std::vector<std::vector<size_t>> groups;
+    std::unordered_map<std::string, size_t> byKey;
+    for (size_t i = 0; i < stmts.size(); ++i) {
+        size_t g = groups.size();
+        if (regroup)
+            g = byKey.emplace(shapes[i].key, g).first->second;
+        else if (g > 0 && shapes[groups.back()[0]].key == shapes[i].key)
+            --g;
+        if (g == groups.size())
+            groups.emplace_back();
+        groups[g].push_back(i);
+    }
+    std::vector<std::string> out;
+    for (const std::vector<size_t> &g : groups) {
+        if (g.size() < rerollMin) {
+            for (size_t i : g)
+                out.push_back(std::move(stmts[i]));
+            continue;
+        }
+        std::vector<Shape> rows;
+        for (size_t i : g)
+            rows.push_back(std::move(shapes[i]));
+        out.push_back(tableLoop(rows, ind));
+    }
+    return out;
+}
+
 /** Fan-in above which a port is emitted as a flat select chain. */
 constexpr size_t selectChainMax = 8;
 
@@ -470,7 +640,10 @@ constexpr size_t selectChainMax = 8;
  * become a flat chain of `var = g ? src : var;` selects: the same
  * last-active-wins fold, linear work for the host compiler where a
  * 1000-deep nested conditional makes it crawl, and vector blends
- * inside a lane loop. `in_scc` members never read the `gv[]` pool.
+ * inside a lane loop. In the scalar module each run of at least
+ * rerollMin same-shape selects outside an SCC becomes one table loop
+ * (rerollStmts), still in driver order, so the last active driver
+ * wins. `in_scc` members never read the `gv[]` pool.
  */
 std::string
 portValueStmts(const Codegen &cg, uint32_t port, const std::string &var,
@@ -514,13 +687,18 @@ portValueStmts(const Codegen &cg, uint32_t port, const std::string &var,
         return var;
     }
     block += stmts + ind + "uint64_t " + var + " = " + base + ";\n";
+    std::vector<std::string> chain;
     for (size_t i = 0; i < ds.size(); ++i) {
         if (guards[i].empty())
-            block += ind + var + " = " + srcExpr(cg, *ds[i]) + ";\n";
+            chain.push_back(ind + var + " = " + srcExpr(cg, *ds[i]) + ";\n");
         else
-            block += ind + var + " = " + guards[i] + " ? " +
-                     srcExpr(cg, *ds[i]) + " : " + var + ";\n";
+            chain.push_back(ind + var + " = " + guards[i] + " ? " +
+                            srcExpr(cg, *ds[i]) + " : " + var + ";\n");
     }
+    if (!in_scc && cg.L == 1)
+        chain = rerollStmts(std::move(chain), false, ind);
+    for (const std::string &line : chain)
+        block += line;
     return var;
 }
 
@@ -702,12 +880,13 @@ clockStmt(const Codegen &cg, const Prim &p, bool *fusable = nullptr)
         s += "    uint64_t a = " + memAddrExpr(cg, p, "addr0", "addr1") +
              ";\n";
         s += "    if (a >= " + size + ") {\n";
-        s += "      snprintf(s->errbuf, sizeof s->errbuf, \"memory " +
+        // Name and size are arguments, not format text, so a rerolled
+        // loop reads them from its table.
+        s += "      snprintf(s->errbuf, sizeof s->errbuf, \"memory %s: write "
+             "to out-of-bounds address %llu (size %llu)\", \"" +
              escapeLit(p.cell->name().str()) +
-             ": write to out-of-bounds address %llu (size " +
-             std::to_string(p.memSize) +
-             ")\", (unsigned long long)a);\n"
-             "      s->err = s->errbuf;\n      return;\n    }\n";
+             "\", (unsigned long long)a, (unsigned long long)" + size +
+             ");\n      s->err = s->errbuf;\n      return;\n    }\n";
         s += "    " + cg.memRef(p, "a") + " = " +
              trunc(cg.val(cg.pid(p, "write_data")), w(0)) + ";\n";
         s += "    " + cg.mdoneRef(p.mem) + " = 1;\n  } else " +
@@ -790,36 +969,46 @@ clockStmt(const Codegen &cg, const Prim &p, bool *fusable = nullptr)
     return "";
 }
 
-/** Per-primitive members of the generated instance struct. Lane
- * modules hold one slot per lane (`[kLanes]` arrays). */
+/** The pipe-state arrays of the generated instance struct: one
+ * `CppsimPipe` array per kind that the design uses. */
 std::string
-stateMembers(const Codegen &cg)
+pipeMembers(const Codegen &cg)
 {
-    // "" for scalar modules, "[kLanes]" appended to every member name
-    // for lane modules so memberRef()'s `[l]` indexing lands on the
-    // lane's slot.
-    const std::string d = cg.L == 1 ? "" : "[kLanes]";
     std::string s;
-    for (const Prim &p : cg.prims) {
-        const std::string &t = p.cell->type().str();
-        std::string pre = "p" + std::to_string(p.model) + "_";
-        if (t == "std_mult_pipe" || t == "std_div_pipe") {
-            s += "  uint64_t " + pre + "a" + d + ", " + pre + "b" + d +
-                 ", " + pre + "r0" + d;
-            if (t == "std_div_pipe")
-                s += ", " + pre + "r1" + d;
-            s += ";\n  int64_t " + pre + "rem" + d + ";\n";
-            s += "  unsigned char " + pre + "busy" + d + ", " + pre +
-                 "done" + d + ";\n";
-        } else if (t == "std_sqrt") {
-            s += "  uint64_t " + pre + "a" + d + ", " + pre + "r0" + d +
-                 ";\n";
-            s += "  int64_t " + pre + "rem" + d + ";\n";
-            s += "  unsigned char " + pre + "busy" + d + ", " + pre +
-                 "done" + d + ";\n";
+    for (size_t k = 0; k < std::size(pipeKinds); ++k) {
+        if (cg.numPipes[k] > 0) {
+            s += "  CppsimPipe " + std::string(pipeKinds[k].array) + "[" +
+                 std::to_string(cg.numPipes[k]) + "];\n";
         }
     }
     return s;
+}
+
+/**
+ * Scalar clock statements, rerolled. A clock statement touches only
+ * its own primitive's state and reads `vals`, which clock never
+ * writes, so the infallible ones (registers, pipes) commute and
+ * regroup by shape between two memory clocks. A memory clock fails on
+ * an out-of-bounds write (it sets `err` and returns), so memory clocks
+ * keep model order and only runs of them reroll: each still runs
+ * after exactly the statements it ran after before.
+ */
+std::vector<std::string>
+rerollClocks(std::vector<std::string> stmts, const std::vector<char> &fallible)
+{
+    std::vector<std::string> out;
+    for (size_t i = 0; i < stmts.size();) {
+        size_t j = i;
+        while (j < stmts.size() && fallible[j] == fallible[i])
+            ++j;
+        std::vector<std::string> run(
+            std::make_move_iterator(stmts.begin() + i),
+            std::make_move_iterator(stmts.begin() + j));
+        for (std::string &s : rerollStmts(std::move(run), !fallible[i], "  "))
+            out.push_back(std::move(s));
+        i = j;
+    }
+    return out;
 }
 
 /** Cap on fusable statements sharing one lane loop. Small bodies keep
@@ -976,7 +1165,8 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
     // Statement lists come first: the prologue declares every chunk
     // function, so their count must be known before anything is
     // written. eval walks the whole netlist in topological schedule
-    // order; clock visits every stateful primitive in model order.
+    // order; clock visits every stateful primitive in model order
+    // (the scalar module's rerollClocks regroups those that commute).
     std::vector<std::string> evalStmts;
     std::vector<char> evalFusable;
     for (const SimSchedule::Node &node : cg.sched.nodes()) {
@@ -988,18 +1178,21 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
         }
     }
     std::vector<std::string> clockStmts;
-    std::vector<char> clockFusable;
+    std::vector<char> clockFusable, clockFallible;
     for (const Prim &p : cg.prims) {
         bool fus = false;
         std::string s = clockStmt(cg, p, &fus);
         if (!s.empty()) {
             clockStmts.push_back(std::move(s));
             clockFusable.push_back(fus);
+            clockFallible.push_back(p.mem >= 0);
         }
     }
     if (cg.L > 1) {
         evalStmts = wrapLaneLoops(std::move(evalStmts), evalFusable);
         clockStmts = wrapLaneLoops(std::move(clockStmts), clockFusable);
+    } else {
+        clockStmts = rerollClocks(std::move(clockStmts), clockFallible);
     }
     std::vector<std::string> evalFns =
         buildChunks("eval", evalStmts, cppsimChunkStatements, cg.L > 1);
@@ -1035,6 +1228,11 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
     os << "constexpr uint32_t kLanes = " << cg.L << ";\n";
     os << "\n";
 
+    const char *d = cg.L == 1 ? "" : "[kLanes]";
+    os << "// One std_mult_pipe, std_div_pipe or std_sqrt.\n"
+       << "struct CppsimPipe {\n  uint64_t a" << d << ", b" << d << ", r0"
+       << d << ", r1" << d << ";\n  int64_t rem" << d
+       << ";\n  unsigned char busy" << d << ", done" << d << ";\n};\n\n";
     os << "struct CppsimInst {\n";
     if (cg.L == 1) {
         os << "  uint64_t *regs[kNumRegs ? kNumRegs : 1];\n";
@@ -1054,7 +1252,7 @@ emitCppSim(const SimProgram &prog, std::ostream &os,
         os << "  uint64_t gv[(kNumGuards ? kNumGuards : 1) * kLanes]; "
               "// guard pool\n";
     }
-    os << stateMembers(cg);
+    os << pipeMembers(cg);
     os << "  const char *err;\n  char errbuf[192];\n";
     os << "};\n\n";
 

@@ -13,8 +13,8 @@ namespace calyx::emit {
 
 /**
  * Compiled-simulation backend ("cppsim"): codegen the levelized
- * evaluation schedule of a fully-lowered program as one straight-line
- * C++ translation unit — the verilator-style technique. The emitted
+ * evaluation schedule of a fully-lowered program as one C++
+ * translation unit — the verilator-style technique. The emitted
  * module walks the Tarjan-condensed topological order of the port
  * dependency graph (sim/schedule.h): one statement per port over a
  * dense `uint64_t vals[]` array indexed by the existing dense port
@@ -23,7 +23,11 @@ namespace calyx::emit {
  * and a module-wide pool of shared values), primitive semantics
  * inlined per cell, and non-trivial SCCs emitted as bounded
  * Gauss–Seidel fixed-point loops that set the same port-naming
- * diagnostic the interpreter raises.
+ * diagnostic the interpreter raises. The code is straight-line except
+ * for those loops and, in the scalar module, table loops: each group
+ * of same-shape statements in a big select chain or among the clock
+ * statements runs as one loop over a static table (like verilator's
+ * V3Reloop), which keeps the host compile short.
  *
  * The module exposes a tiny C ABI (`cppsim_*` symbols) consumed by the
  * JIT driver in sim/compiled.h: instance construction, storage binding
@@ -78,12 +82,13 @@ constexpr uint32_t cppsimAbiVersion = 2;
 
 /**
  * Shard seam marker in the generated source. The module is laid out as
- * a common prologue (declarations only), then marker-prefixed segments:
- * one per chunk function and a final tail holding single definitions
- * and the C ABI. The JIT driver (sim/compiled.cc) may split on these
- * lines, grouping contiguous segments into one [prologue + segments]
- * translation unit per usable core and compiling them in parallel;
- * the markers are comments, so the file also builds as one unit.
+ * a common prologue (declarations only, a few KB whatever the design),
+ * then marker-prefixed segments: one per chunk function and a final
+ * tail holding single definitions and the C ABI. The JIT driver
+ * (sim/compiled.cc) may split on these lines, grouping contiguous
+ * segments into [prologue + segments] translation units, two per
+ * usable core, and compiling them in parallel; the markers are
+ * comments, so the file also builds as one unit.
  */
 constexpr const char *cppsimShardMarker = "//--cppsim-shard--";
 

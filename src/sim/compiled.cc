@@ -140,11 +140,12 @@ registry()
  * Build shard translation units from the generated source: the common
  * prologue (everything before the first marker line, declarations only)
  * plus a contiguous, byte-balanced run of marker-delimited segments per
- * shard. At most `groups` shards come back — one per usable core is
- * the useful maximum, because every extra shard re-parses the prologue
- * (which grows with design size: the instance struct declares per-
- * primitive state) for no extra parallelism. A source without markers,
- * or groups <= 1, comes back as one entry.
+ * shard. At most `groups` shards come back. The prologue is a few KB
+ * whatever the design's size, so an extra shard costs about one
+ * compiler start-up, and the driver asks for two per usable core: one
+ * segment can cost several times the average (a chunk full of select
+ * chains), and smaller shards let the pool's stealing even that out.
+ * A source without markers, or groups <= 1, comes back as one entry.
  */
 std::vector<std::string>
 splitShards(const std::string &source, size_t groups)
@@ -182,35 +183,37 @@ splitShards(const std::string &source, size_t groups)
 }
 
 /** Sources below this size build faster as one translation unit than
- * as parallel shards (compiler startup dominates). */
-constexpr size_t shardSourceBytes = 256 * 1024;
+ * as parallel shards (compiler start-up and the link dominate). */
+constexpr size_t shardSourceBytes = 64 * 1024;
 
-/** Compile `source` into the shared object `tmp` with `cxx` and
- * `flags`. Sources build as a single translation unit unless the
- * process may run on several cores and the source is big and
- * marker-split, in which case one byte-balanced object per usable core
- * is compiled in parallel, then linked. fatal() on any failure. */
+/** Compile the source file `tmp`.cc (whose text is `source`) into the
+ * shared object `tmp`.so with `cxx` and `flags`. It builds as a single
+ * translation unit unless the process may run on several cores and the
+ * source is big and marker-split: then two byte-balanced objects per
+ * usable core are compiled in parallel and linked. Every file it writes
+ * is named after `tmp`. fatal() on any failure. */
 void
 compileSource(const std::string &cxx, const std::vector<std::string> &flags,
-              const std::string &source, const std::string &cc,
-              const std::string &tmp)
+              const std::string &source, const std::string &tmp)
 {
+    unsigned cores = WorkPool::defaultThreads();
     std::vector<std::string> shards =
-        source.size() < shardSourceBytes
+        source.size() < shardSourceBytes || cores <= 1
             ? std::vector<std::string>{source}
-            : splitShards(source, WorkPool::defaultThreads());
+            : splitShards(source, 2 * size_t(cores));
+    std::string so = tmp + ".so";
 
     if (shards.size() <= 1) {
         std::vector<std::string> argv{cxx};
         for (const std::string &f : flags)
             argv.push_back(f);
-        argv.insert(argv.end(), {"-o", tmp, cc});
+        argv.insert(argv.end(), {"-o", so, tmp + ".cc"});
         ProcessResult res = runProcess(argv);
         if (!res.ok()) {
-            unlink(tmp.c_str());
+            unlink(so.c_str());
             fatal("compiled engine: host compile failed (exit ",
-                  res.exitCode, "):\n  ", cxx, " ... -o ", tmp, " ", cc,
-                  "\n", res.output);
+                  res.exitCode, "):\n  ", cxx, " ... -o ", so, " ", tmp,
+                  ".cc\n", res.output);
         }
         return;
     }
@@ -235,9 +238,11 @@ compileSource(const std::string &cxx, const std::vector<std::string> &flags,
     // Shard compiles go through the process-wide WorkPool rather than a
     // private thread vector, so a serve host running simulations and
     // compiles at once keeps its combined thread count at the pool
-    // width instead of spiking to 2x (see support/pool.h). There is
-    // one shard per usable core at most, so each gets a participant.
-    unsigned workers = static_cast<unsigned>(shards.size());
+    // width instead of spiking to 2x (see support/pool.h). One
+    // participant per usable core; the shards outnumber them, and a
+    // participant that drains its own range steals from the others.
+    unsigned workers = static_cast<unsigned>(
+        std::min<size_t>(shards.size(), cores));
     std::mutex failMutex;
     std::string failure;
     auto work = [&](size_t i) {
@@ -278,14 +283,26 @@ compileSource(const std::string &cxx, const std::vector<std::string> &flags,
     std::vector<std::string> argv{cxx};
     for (const std::string &f : flags)
         argv.push_back(f);
-    argv.insert(argv.end(), {"-o", tmp});
+    argv.insert(argv.end(), {"-o", so});
     argv.insert(argv.end(), objs.begin(), objs.end());
     ProcessResult res = runProcess(argv);
     cleanup();
     if (!res.ok()) {
-        unlink(tmp.c_str());
+        unlink(so.c_str());
         fatal("compiled engine: shard link failed (exit ", res.exitCode,
-              "):\n  ", cxx, " ... -o ", tmp, "\n", res.output);
+              "):\n  ", cxx, " ... -o ", so, "\n", res.output);
+    }
+}
+
+/** Move `from` to `to` with rename(), so readers of `to` see the old
+ * file or the new one, never a partial write. fatal() on failure. */
+void
+publish(const std::string &from, const std::string &to)
+{
+    if (rename(from.c_str(), to.c_str()) != 0) {
+        unlink(from.c_str());
+        fatal("compiled engine: cannot move ", from, " to ", to, ": ",
+              std::strerror(errno));
     }
 }
 
@@ -361,19 +378,17 @@ CompiledModule::load(const SimProgram &prog, uint32_t lanes)
         if (cxx.empty())
             fatal("compiled engine: ", compiledEngineUnavailableReason());
 
-        std::string cc = dir + "/" + digest + ".cc";
-        if (!writeFile(cc, source))
-            fatal("compiled engine: cannot write ", cc);
-
-        // Compile into a pid-unique temporary, then atomically rename:
-        // concurrent builds of the same program race benignly.
-        std::string tmp = so + ".tmp." + std::to_string(getpid());
-        compileSource(cxx, flags, source, cc, tmp);
-        if (rename(tmp.c_str(), so.c_str()) != 0) {
-            unlink(tmp.c_str());
-            fatal("compiled engine: cannot move ", tmp, " to ", so, ": ",
-                  std::strerror(errno));
-        }
+        // Build from pid-unique files, then publish the source and the
+        // object by rename. Concurrent builds of one digest never read
+        // or truncate a file another process is still writing. A failed
+        // build leaves its source behind for the diagnostic to name.
+        std::string tmp =
+            dir + "/" + digest + ".tmp." + std::to_string(getpid());
+        if (!writeFile(tmp + ".cc", source))
+            fatal("compiled engine: cannot write ", tmp, ".cc");
+        compileSource(cxx, flags, source, tmp);
+        publish(tmp + ".cc", dir + "/" + digest + ".cc");
+        publish(tmp + ".so", so);
     }
 
     mod->handle = dlopen(so.c_str(), RTLD_NOW | RTLD_LOCAL);

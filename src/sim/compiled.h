@@ -23,10 +23,12 @@ class SimProgram;
  *   $CALYX_CPPSIM_CACHE, else $XDG_CACHE_HOME/calyx-cppsim,
  *   else $HOME/.cache/calyx-cppsim, else /tmp/calyx-cppsim
  *
- * as `<digest>.so`. A second run of the same program dlopen()s the
- * cached object without invoking the compiler; compilation writes to a
- * unique temporary and rename()s it into place so concurrent processes
- * race benignly. Loaded modules are additionally shared process-wide
+ * as `<digest>.so`, beside its source `<digest>.cc`. A second run of
+ * the same program dlopen()s the cached object without invoking the
+ * compiler. A build compiles from files named after its process id and
+ * rename()s the source and the object into place, so concurrent
+ * processes building one digest never read each other's partial
+ * files. Loaded modules are additionally shared process-wide
  * through a weak_ptr registry keyed by the same digest, so many
  * SimStates over the same program share one dlopen() handle.
  *
@@ -34,8 +36,8 @@ class SimProgram;
  * on PATH, invoked as `<cxx> -O<n> -shared -fPIC -std=c++17`, where
  * the level falls as the source grows and lane modules add
  * `-march=native` (override the flags with $CALYX_CPPSIM_CXXFLAGS,
- * whitespace-separated). Big sources build as one shard per usable
- * core, compiled in parallel and linked. When no compiler exists the
+ * whitespace-separated). Sources of 64 KB and more build as two
+ * shards per usable core, compiled in parallel and linked. When no compiler exists the
  * constructor fatal()s with the reason compiledEngineUnavailableReason()
  * reports, so callers can probe and fall back gracefully.
  */

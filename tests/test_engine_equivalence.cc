@@ -20,6 +20,7 @@
 #include <sstream>
 #include <vector>
 
+#include "emit/cppsim.h"
 #include "frontends/dahlia/parser.h"
 #include "frontends/systolic/systolic.h"
 #include "helpers.h"
@@ -54,6 +55,30 @@ comparisonEngines()
         out.push_back(info.engine);
     }
     return out;
+}
+
+/**
+ * Table loops (the rerolled statements of emit/cppsim.cc) in the
+ * `cppsim_<stem>_chunk*` functions of generated source `src` whose
+ * loop body starts with `body`.
+ */
+size_t
+tableLoops(const std::string &src, const std::string &stem,
+           const std::string &body)
+{
+    const std::string fn = "void cppsim_" + stem + "_chunk";
+    const std::string head = "; ++i) {\n";
+    size_t n = 0;
+    for (size_t at = src.find(fn); at != std::string::npos;
+         at = src.find(fn, at + 1)) {
+        size_t end = src.find(emit::cppsimShardMarker, at);
+        for (size_t loop = src.find(head, at); loop < end;
+             loop = src.find(head, loop + 1)) {
+            size_t text = src.find_first_not_of(' ', loop + head.size());
+            n += src.compare(text, body.size(), body) == 0;
+        }
+    }
+    return n;
 }
 
 /** Cycle-simulate a compiled context with one engine. */
@@ -160,6 +185,121 @@ TEST(EngineEquivalence, SystolicConfiguration)
         EXPECT_EQ(jacobi_cycles, cycles) << sim::engineName(engine);
         EXPECT_EQ(jacobi_state, state) << sim::engineName(engine);
     }
+
+    // The runs above cover rerolled code: the scalar module runs the
+    // out_mem select chains and the clock statements as table loops.
+    // Lane modules are not rerolled.
+    sim::SimProgram sp(ctx, "main");
+    std::ostringstream scalar, lanes;
+    emit::emitCppSim(sp, scalar);
+    emit::CppSimOptions lane_opts;
+    lane_opts.lanes = 4;
+    emit::emitCppSim(sp, lanes, lane_opts);
+    EXPECT_GE(tableLoops(scalar.str(), "eval", "v = "), 1u);
+    EXPECT_GE(tableLoops(scalar.str(), "clk", ""), 1u);
+    EXPECT_EQ(lanes.str().find("kTab"), std::string::npos);
+
+    // One-lane compiled tiles run the scalar module too, here on
+    // distinct stimuli, each held to a Jacobi run of its own.
+    if (!sim::compiledEngineUnavailableReason().empty())
+        return;
+    std::vector<sim::Stimulus> batch(3);
+    for (size_t b = 0; b < batch.size(); ++b) {
+        for (int r = 0; r < dim; ++r) {
+            std::vector<uint64_t> left(dim), top(dim);
+            for (int k = 0; k < dim; ++k) {
+                left[k] = (b + 1) * (r + k + 1);
+                top[k] = 7 * b + 2 * r + k + 1;
+            }
+            batch[b].mems.emplace_back(systolic::leftMemName(r), left);
+            batch[b].mems.emplace_back(systolic::topMemName(r), top);
+        }
+    }
+    sim::BatchOptions opts;
+    opts.engine = sim::Engine::Compiled;
+    opts.laneTile = 1;
+    auto results = sim::runBatch(sp, batch, opts);
+    ASSERT_EQ(results.size(), batch.size());
+    for (size_t b = 0; b < batch.size(); ++b) {
+        sim::SimProgram ref(ctx, "main");
+        for (const auto &[path, data] : batch[b].mems) {
+            std::copy(data.begin(), data.end(),
+                      ref.findModel(path)->memory()->begin());
+        }
+        sim::CycleSim cs(ref, sim::Engine::Jacobi);
+        EXPECT_EQ(results[b].cycles, cs.run()) << "stimulus " << b;
+        std::vector<uint64_t> regs;
+        std::vector<std::vector<uint64_t>> mems;
+        for (const auto &m : ref.models()) {
+            if (auto rv = m->registerValue())
+                regs.push_back(*rv);
+            else if (const std::vector<uint64_t> *mm = m->memory())
+                mems.push_back(*mm);
+        }
+        EXPECT_EQ(results[b].regs, regs) << "stimulus " << b;
+        EXPECT_EQ(results[b].mems, mems) << "stimulus " << b;
+    }
+}
+
+TEST(EngineEquivalence, RerolledPipeClocks)
+{
+    // Nine cells of each pipelined kind, so the compiled module clocks
+    // each kind in one table loop (divisor 0 included). A counter feeds
+    // them new operands every cycle; every output must match Jacobi's
+    // on every cycle.
+    Context ctx;
+    Component &comp = ctx.addComponent("main");
+    comp.addCell("c", "std_reg", {16}, ctx);
+    comp.addCell("inc", "std_add", {16}, ctx);
+    auto &as = comp.continuousAssignments();
+    as.emplace_back(cellPort("inc", "left"), cellPort("c", "out"));
+    as.emplace_back(cellPort("inc", "right"), constant(1, 16));
+    as.emplace_back(cellPort("c", "in"), cellPort("inc", "out"));
+    as.emplace_back(cellPort("c", "write_en"), constant(1, 1));
+    std::vector<std::string> outs;
+    for (int i = 0; i < 9; ++i) {
+        std::string k = std::to_string(i);
+        for (const char *type : {"std_mult_pipe", "std_div_pipe"}) {
+            std::string cell = type[4] == 'm' ? "mul" + k : "div" + k;
+            comp.addCell(cell, type, {16}, ctx);
+            as.emplace_back(cellPort(cell, "left"), cellPort("c", "out"));
+            as.emplace_back(cellPort(cell, "right"), constant(i, 16));
+            as.emplace_back(cellPort(cell, "go"), constant(1, 1));
+        }
+        comp.addCell("sq" + k, "std_sqrt", {16}, ctx);
+        as.emplace_back(cellPort("sq" + k, "in"), cellPort("c", "out"));
+        as.emplace_back(cellPort("sq" + k, "go"), constant(1, 1));
+        for (const char *port : {"mul%.out", "mul%.done", "div%.out_quotient",
+                                 "div%.out_remainder", "div%.done",
+                                 "sq%.out", "sq%.done"}) {
+            std::string p = port;
+            outs.push_back(p.replace(p.find('%'), 1, k));
+        }
+    }
+
+    auto trace = [&](sim::Engine engine) {
+        sim::SimProgram sp(ctx, "main");
+        sim::SimState st(sp, engine);
+        st.reset();
+        std::vector<uint64_t> seen;
+        for (int cycle = 0; cycle < 40; ++cycle) {
+            st.beginCycle();
+            st.activate(sp.root().continuous);
+            st.comb();
+            for (const std::string &p : outs)
+                seen.push_back(st.value(p));
+            st.clock();
+        }
+        return seen;
+    };
+    auto jacobi = trace(sim::Engine::Jacobi);
+    for (sim::Engine engine : comparisonEngines())
+        EXPECT_EQ(jacobi, trace(engine)) << sim::engineName(engine);
+
+    sim::SimProgram sp(ctx, "main");
+    std::ostringstream scalar;
+    emit::emitCppSim(sp, scalar);
+    EXPECT_EQ(tableLoops(scalar.str(), "clk", ""), 3u); // one per kind
 }
 
 TEST(EngineEquivalence, InterpreterCrossEngine)

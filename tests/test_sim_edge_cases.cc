@@ -81,18 +81,51 @@ TEST(SimEdge, OutOfBoundsReadReturnsZero)
 
 TEST(SimEdge, OutOfBoundsWriteIsAnError)
 {
+    // Twelve equal memories, so the compiled module clocks them in one
+    // table loop. All of them write, and only the seventh is out of
+    // bounds: every engine names that cell, the address and the size,
+    // and stops after the writes of the cells before it.
+    const int n = 12, bad = 6;
     Context ctx;
     Component &comp = ctx.addComponent("main");
-    comp.addCell("m", "std_mem_d1", {8, 5, 3}, ctx);
+    for (int i = 0; i < n; ++i)
+        comp.addCell("m" + std::to_string(i), "std_mem_d1", {8, 5, 3}, ctx);
     sim::SimProgram sp(ctx, "main");
-    sim::SimState st(sp);
-    st.reset();
-    st.beginCycle();
-    st.force(sp.portId("m.addr0"), 6);
-    st.force(sp.portId("m.write_en"), 1);
-    st.force(sp.portId("m.write_data"), 1);
-    st.comb();
-    EXPECT_THROW(st.clock(), Error);
+
+    std::vector<sim::Engine> engines = {sim::Engine::Jacobi,
+                                        sim::Engine::Levelized};
+    if (sim::compiledEngineUnavailableReason().empty())
+        engines.push_back(sim::Engine::Compiled);
+    for (sim::Engine engine : engines) {
+        for (int i = 0; i < n; ++i) {
+            auto *mem = sp.findModel("m" + std::to_string(i))->memory();
+            std::fill(mem->begin(), mem->end(), 0);
+        }
+        sim::SimState st(sp, engine);
+        st.reset();
+        st.beginCycle();
+        st.activate(sp.root().continuous);
+        for (int i = 0; i < n; ++i) {
+            std::string m = "m" + std::to_string(i);
+            st.force(sp.portId(m + ".addr0"), i == bad ? 6 : 4);
+            st.force(sp.portId(m + ".write_en"), 1);
+            st.force(sp.portId(m + ".write_data"), 100 + i);
+        }
+        st.comb();
+        try {
+            st.clock();
+            ADD_FAILURE() << "no error from " << sim::engineName(engine);
+        } catch (const Error &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "memory m6: write to out-of-bounds address 6 (size 5)")
+                << sim::engineName(engine);
+        }
+        for (int i = 0; i < n; ++i) {
+            auto *mem = sp.findModel("m" + std::to_string(i))->memory();
+            EXPECT_EQ((*mem)[4], i < bad ? 100u + i : 0u)
+                << sim::engineName(engine) << " m" << i;
+        }
+    }
 }
 
 TEST(SimEdge, DualReadPortsSeeSameContents)
