@@ -31,23 +31,19 @@
  *
  * Usage:
  *   bench_sim_engines [--small] [--check] [--reps N] [--out FILE]
- *                     [--max-dim N] [--baseline FILE]
+ *                     [--max-dim N]
  *     --small     CI smoke configuration (fewer/smaller workloads)
  *     --check     exit non-zero if compiled is slower than levelized on
  *                 any workload (the tiny configurations legitimately
  *                 let jacobi beat levelized, so that pair is not
- *                 gated), if levelized throughput regressed > 5%
- *                 against the recorded baseline, or if a batched gate
- *                 fails (checkBatched: on gemm compiled batch-1 >=
- *                 0.8x scalar compiled stimuli/s and batch-4096 >=
- *                 batch-1; levelized N-thread batch-64 >= 2x
- *                 single-thread on systolic_8x8 when the host has >= 2
- *                 cores)
+ *                 gated), or if a batched gate fails (checkBatched:
+ *                 on gemm compiled batch-1 >= 0.8x scalar compiled
+ *                 stimuli/s and batch-4096 >= batch-1; levelized
+ *                 N-thread batch-64 >= 2x single-thread on
+ *                 systolic_8x8 when the host has >= 2 cores)
  *     --reps N    timing repetitions per engine (default 3)
  *     --out       output path (default BENCH_sim.json)
  *     --max-dim N skip systolic configurations larger than NxN
- *     --baseline  baseline for --check
- *                 (default bench/baselines/sim_pr6.json)
  */
 #include <algorithm>
 #include <chrono>
@@ -64,12 +60,11 @@
 #include "frontends/dahlia/parser.h"
 #include "frontends/systolic/systolic.h"
 #include "obs/observer.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "sim/batch.h"
 #include "sim/compiled.h"
 #include "sim/cycle_sim.h"
 #include "support/error.h"
-#include "support/json.h"
 #include "workloads/harness.h"
 #include "workloads/polybench.h"
 
@@ -512,51 +507,6 @@ writeJson(const std::string &path,
 }
 
 /**
- * --check against the recorded baseline: current levelized throughput
- * may not drop more than 5% below the baseline's on any workload the
- * baseline timed long enough to trust (>= 100 ms total; shorter
- * measurements jitter past the tolerance on a loaded host). Returns
- * the number of regressions; a missing baseline file is a note, not a
- * failure (fresh clones have no recorded numbers to hold them to).
- */
-int
-checkBaseline(const std::string &path,
-              const std::vector<WorkloadResult> &results, size_t lev)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::printf("note: no baseline at %s; skipping throughput "
-                    "check\n",
-                    path.c_str());
-        return 0;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
-    json::Value doc = json::parse(ss.str());
-
-    int regressions = 0;
-    for (const auto &w : doc.at("workloads").items()) {
-        const json::Value *base_lev = w.at("engines").find("levelized");
-        if (!base_lev || base_lev->at("seconds").asReal() < 0.1)
-            continue;
-        double base_cps = base_lev->at("cycles_per_sec").asReal();
-        for (const WorkloadResult &r : results) {
-            if (r.name != w.at("name").asStr() || !r.runs[lev].ran)
-                continue;
-            double cps = r.cps(lev);
-            if (cps < 0.95 * base_cps) {
-                std::fprintf(stderr,
-                             "FAIL %s: levelized %.0f c/s is more than "
-                             "5%% below baseline %.0f c/s\n",
-                             r.name.c_str(), cps, base_cps);
-                ++regressions;
-            }
-        }
-    }
-    return regressions;
-}
-
-/**
  * --check gates on the batched rows. Two assertions:
  *
  *  1. Batch shapes pay off (single thread, on gemm): compiled batch-1
@@ -642,7 +592,6 @@ main(int argc, char **argv)
     int reps = 3;
     int max_dim = 0;
     std::string out_path = "BENCH_sim.json";
-    std::string baseline_path = "bench/baselines/sim_pr6.json";
 
     std::vector<std::string> args(argv + 1, argv + argc);
     for (size_t i = 0; i < args.size(); ++i) {
@@ -656,13 +605,10 @@ main(int argc, char **argv)
             out_path = args[++i];
         } else if (args[i] == "--max-dim" && i + 1 < args.size()) {
             max_dim = std::atoi(args[++i].c_str());
-        } else if (args[i] == "--baseline" && i + 1 < args.size()) {
-            baseline_path = args[++i];
         } else {
             std::fprintf(stderr,
                          "usage: bench_sim_engines [--small] [--check] "
-                         "[--reps N] [--out FILE] [--max-dim N] "
-                         "[--baseline FILE]\n");
+                         "[--reps N] [--out FILE] [--max-dim N]\n");
             return 2;
         }
     }
@@ -766,15 +712,7 @@ main(int argc, char **argv)
                      "at least one workload\n");
         ++failures;
     }
-    if (check) {
-        try {
-            failures += checkBaseline(baseline_path, results, lev);
-        } catch (const Error &e) {
-            std::fprintf(stderr, "error: bad baseline %s: %s\n",
-                         baseline_path.c_str(), e.what());
-            ++failures;
-        }
+    if (check)
         failures += checkBatched(results);
-    }
     return failures > 0 ? 1 : 0;
 }

@@ -12,7 +12,7 @@
 #include "emit/verilog.h"
 #include "ir/builder.h"
 #include "ir/printer.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "sim/cycle_sim.h"
 #include "sim/interp.h"
 #include "support/text.h"

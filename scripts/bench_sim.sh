@@ -17,7 +17,9 @@
 #
 # CI runs the --small --check configuration: small workloads, hard
 # failure if the compiled engine is slower than levelized on any of
-# them. Set CALYX_CPPSIM_CACHE to persist the compiled engine's JIT
+# them. Every --check gate compares rows measured in the same run, so
+# none depends on the host that recorded an earlier file. Set
+# CALYX_CPPSIM_CACHE to persist the compiled engine's JIT
 # cache across runs (CI restores it between jobs).
 set -u
 

@@ -213,16 +213,4 @@ emitDesign(const dahlia::Program &program, const std::string &spec,
     return emitDesign(program, passes::parsePipelineSpec(spec), backend);
 }
 
-HardwareResult
-runOnHardware(const dahlia::Program &program,
-              const passes::CompileOptions &options, const MemState &inputs,
-              MemState *final_state)
-{
-    passes::RunOptions run_options;
-    run_options.verify = options.verify;
-    return runOnHardware(
-        program, passes::parsePipelineSpec(passes::compileOptionsToSpec(options)),
-        inputs, final_state, run_options);
-}
-
 } // namespace calyx::workloads

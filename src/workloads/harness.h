@@ -6,7 +6,7 @@
 
 #include "estimate/area.h"
 #include "frontends/dahlia/ast.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "sim/batch.h"
 #include "sim/env.h"
 #include "workloads/reference.h"
@@ -72,9 +72,8 @@ MemState runOnInterp(const dahlia::Program &program,
  * memory state (translated back from banked cells to the original
  * layout) is stored in `final_state` when non-null.
  *
- * The pipeline is a parsed PipelineSpec (or a spec string such as
- * `"all,-register-sharing"`); the CompileOptions overload is a
- * compatibility shim over compileOptionsToSpec.
+ * The pipeline is a parsed PipelineSpec or a spec string such as
+ * `"all,-register-sharing"`.
  *
  * `observers` (obs/observer.h; not owned) are attached to the run's
  * SimState before the simulation starts, so a workload can be traced
@@ -90,10 +89,6 @@ HardwareResult runOnHardware(const dahlia::Program &program,
                                  &observers = {});
 HardwareResult runOnHardware(const dahlia::Program &program,
                              const std::string &spec,
-                             const MemState &inputs,
-                             MemState *final_state = nullptr);
-HardwareResult runOnHardware(const dahlia::Program &program,
-                             const passes::CompileOptions &options,
                              const MemState &inputs,
                              MemState *final_state = nullptr);
 

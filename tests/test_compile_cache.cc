@@ -21,7 +21,6 @@
 #include "emit/backend.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
-#include "passes/pipeline.h"
 #include "passes/pipeline_spec.h"
 #include "support/error.h"
 #include "support/hash.h"

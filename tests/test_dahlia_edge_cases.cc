@@ -12,13 +12,13 @@ namespace {
 
 void
 expectMatchesInterp(const std::string &src,
-                    const passes::CompileOptions &options = {})
+                    const std::string &spec = "default")
 {
     dahlia::Program prog = dahlia::parse(src);
     workloads::MemState inputs = workloads::makeInputs("edge", prog);
     workloads::MemState golden = workloads::runOnInterp(prog, inputs);
     workloads::MemState hw;
-    workloads::runOnHardware(prog, options, inputs, &hw);
+    workloads::runOnHardware(prog, spec, inputs, &hw);
     for (const auto &[name, data] : golden)
         EXPECT_EQ(hw.at(name), data) << "memory " << name;
 }
@@ -331,10 +331,7 @@ for (let p: ubit<3> = 0..4) unroll 2 {
 
 TEST(DahliaEdge, AllPassesOnBankedKernel)
 {
-    passes::CompileOptions opts;
-    opts.resourceSharing = true;
-    opts.registerSharing = true;
-    opts.sensitive = true;
+    const std::string spec = "all";
     expectMatchesInterp(R"(
 decl a: ubit<32>[8 bank 2];
 decl b: ubit<32>[8 bank 2];
@@ -349,7 +346,7 @@ for (let i: ubit<4> = 0..8) unroll 2 {
 ---
 out[0] := acc;
 )",
-                        opts);
+                        spec);
 }
 
 } // namespace

@@ -19,11 +19,10 @@ namespace {
  */
 uint64_t
 runText(const std::string &source, const std::string &reg,
-        const passes::CompileOptions &options = {},
-        uint64_t *cycles = nullptr)
+        const std::string &spec = "default", uint64_t *cycles = nullptr)
 {
     Context ctx = Parser::parseProgram(source);
-    passes::compile(ctx, options);
+    passes::runPipeline(ctx, spec);
     sim::SimProgram sp(ctx, ctx.entrypoint());
     sim::CycleSim cs(sp);
     uint64_t c = cs.run();
@@ -80,11 +79,9 @@ component main() -> () {
   }
 }
 )";
-    for (bool sensitive : {false, true}) {
-        passes::CompileOptions options;
-        options.sensitive = sensitive;
-        EXPECT_EQ(runText(src, "acc", options), 70u);
-    }
+    for (const char *spec :
+         {"default", "all,-resource-sharing,-register-sharing"})
+        EXPECT_EQ(runText(src, "acc", spec), 70u) << spec;
 }
 
 TEST(Integration, MultiComponentProgram)
@@ -125,12 +122,9 @@ component main() -> () {
 TEST(Integration, VerifyModeCatchesNothingOnGoodPrograms)
 {
     Context ctx = Parser::parseProgram(fig2_program);
-    passes::CompileOptions options;
+    passes::RunOptions options;
     options.verify = true;
-    options.resourceSharing = true;
-    options.registerSharing = true;
-    options.sensitive = true;
-    EXPECT_NO_THROW(passes::compile(ctx, options));
+    EXPECT_NO_THROW(passes::runPipeline(ctx, "all", options));
 }
 
 TEST(Integration, VerilogForTextProgram)
@@ -246,9 +240,8 @@ TEST(Integration, SensitiveNeverSlowerOnStaticPrograms)
         Context c1 = Parser::parseProgram(Printer::toString(ctx));
         testing::compiledReg(c1, "x", "default", &insensitive);
         Context c2 = Parser::parseProgram(Printer::toString(ctx));
-        passes::CompileOptions opts;
-        opts.sensitive = true;
-        testing::compiledReg(c2, "x", opts, &sensitive);
+        testing::compiledReg(c2, "x", "all,-resource-sharing,-register-sharing",
+                             &sensitive);
         EXPECT_LE(sensitive, insensitive) << n;
         // Static seq of n one-cycle writes runs in n cycles + handshake.
         EXPECT_LE(sensitive, static_cast<uint64_t>(n) + 3) << n;

@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "helpers.h"
-#include "ir/printer.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "passes/registry.h"
 #include "support/error.h"
 
@@ -180,37 +179,6 @@ TEST(PipelineSpec, ApplyPassOptions)
             applyPassOptions(bare, "resource-sharing[min-width=8]");
         },
         {"'resource-sharing' is not in the pipeline"});
-}
-
-TEST(PipelineSpec, CompileOptionsShimMatchesSpec)
-{
-    CompileOptions options;
-    options.resourceSharing = true;
-    options.resourceSharingMinWidth = 8;
-    options.registerSharing = true;
-    options.sensitive = true;
-
-    EXPECT_EQ(compileOptionsToSpec(options),
-              "well-formed,collapse-control,infer-latency,"
-              "resource-sharing[min-width=8],register-sharing,static,"
-              "go-insertion,compile-control,remove-groups,"
-              "dead-cell-removal");
-
-    // compile(ctx, options) must produce IR identical to running the
-    // equivalent spec through the registry.
-    Context via_shim = testing::counterProgram(5, 7);
-    compile(via_shim, options);
-    Context via_spec = testing::counterProgram(5, 7);
-    runPipeline(via_spec, compileOptionsToSpec(options));
-    EXPECT_EQ(Printer::toString(via_shim), Printer::toString(via_spec));
-
-    // And the default-constructed options equal the `default` alias.
-    Context shim_default = testing::counterProgram(3, 2);
-    compile(shim_default, CompileOptions{});
-    Context spec_default = testing::counterProgram(3, 2);
-    runPipeline(spec_default, "default");
-    EXPECT_EQ(Printer::toString(shim_default),
-              Printer::toString(spec_default));
 }
 
 TEST(PassManager, InstrumentationRecordsTimingAndStats)

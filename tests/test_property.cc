@@ -185,27 +185,19 @@ TEST_P(PropertySeed, CompilationPreservesSemantics)
                 *sp.findModel(cell->name())->registerValue());
     }
 
-    struct ConfigCase
-    {
-        bool resource, registers, sensitive;
+    // Without dead-cell-removal, so every register can be compared.
+    const char *const specs[] = {
+        "default,-dead-cell-removal",
+        "all,-register-sharing,-static,-dead-cell-removal",
+        "all,-resource-sharing,-register-sharing,-dead-cell-removal",
+        "all,-register-sharing,-dead-cell-removal",
     };
-    const ConfigCase configs[] = {
-        {false, false, false},
-        {true, false, false},
-        {false, false, true},
-        {true, false, true},
-    };
-    for (const auto &c : configs) {
+    for (const char *spec : specs) {
         RandomProgram gen2(seed);
         Context ctx = gen2.build();
-        passes::CompileOptions opts;
-        opts.resourceSharing = c.resource;
-        opts.registerSharing = c.registers;
-        opts.sensitive = c.sensitive;
-        opts.verify = true;
-        // Keep unused registers so every register can be compared.
-        opts.deadCellRemoval = false;
-        passes::compile(ctx, opts);
+        passes::RunOptions run_options;
+        run_options.verify = true;
+        passes::runPipeline(ctx, spec, run_options);
         sim::SimProgram sp2(ctx, "main");
         sim::CycleSim cs(sp2);
         cs.run(2'000'000);
@@ -215,9 +207,7 @@ TEST_P(PropertySeed, CompilationPreservesSemantics)
                 got.push_back(
                     *sp2.findModel(cell->name())->registerValue());
         }
-        EXPECT_EQ(got, expect)
-            << "seed " << seed << " config{rs=" << c.resource
-            << ",st=" << c.sensitive << "}";
+        EXPECT_EQ(got, expect) << "seed " << seed << " pipeline " << spec;
     }
 }
 

@@ -67,12 +67,11 @@ TEST(RegisterSharing, PreservesSemantics)
     Context p2 = disjointLiveRanges();
     EXPECT_EQ(compiledReg(p2, "y"), 8u);
 
-    passes::CompileOptions opts;
-    opts.registerSharing = true;
+    const std::string spec = "all,-resource-sharing,-static";
     Context shared = disjointLiveRanges();
-    EXPECT_EQ(compiledReg(shared, "x", opts), 6u);
+    EXPECT_EQ(compiledReg(shared, "x", spec), 6u);
     Context s2 = disjointLiveRanges();
-    EXPECT_EQ(compiledReg(s2, "y", opts), 8u);
+    EXPECT_EQ(compiledReg(s2, "y", spec), 8u);
 }
 
 /**
@@ -131,10 +130,9 @@ TEST(RegisterSharing, KeepsOverlappingLiveRangesApart)
 
 TEST(RegisterSharing, OverlappingSemanticsPreserved)
 {
-    passes::CompileOptions opts;
-    opts.registerSharing = true;
+    const std::string spec = "all,-resource-sharing,-static";
     Context ctx = overlappingLiveRanges();
-    EXPECT_EQ(compiledReg(ctx, "x", opts), 12u);
+    EXPECT_EQ(compiledReg(ctx, "x", spec), 12u);
 }
 
 TEST(RegisterSharing, LoopCarriedRegistersInterfere)
@@ -148,10 +146,9 @@ TEST(RegisterSharing, LoopCarriedRegistersInterfere)
     EXPECT_NE(main.findCell("x"), nullptr);
     EXPECT_NE(main.findCell("i"), nullptr);
 
-    passes::CompileOptions opts;
-    opts.registerSharing = true;
+    const std::string spec = "all,-resource-sharing,-static";
     Context ctx2 = calyx::testing::counterProgram(5, 3);
-    EXPECT_EQ(compiledReg(ctx2, "x", opts), 15u);
+    EXPECT_EQ(compiledReg(ctx2, "x", spec), 15u);
 }
 
 TEST(RegisterSharing, ParallelWritesInterfere)
@@ -179,9 +176,8 @@ TEST(RegisterSharing, ParallelWritesInterfere)
     ctx.component("main").setControl(
         ComponentBuilder::seq(std::move(s)));
 
-    passes::CompileOptions opts;
-    opts.registerSharing = true;
-    EXPECT_EQ(compiledReg(ctx, "x", opts), 12u);
+    const std::string spec = "all,-resource-sharing,-static";
+    EXPECT_EQ(compiledReg(ctx, "x", spec), 12u);
 }
 
 } // namespace

@@ -146,11 +146,10 @@ TEST(ResourceSharing, PreservesSemantics)
     EXPECT_EQ(compiledReg(plain, "r0"), 1u);
 
     Context shared = figure3Program();
-    passes::CompileOptions opts;
-    opts.resourceSharing = true;
-    EXPECT_EQ(compiledReg(shared, "r0", opts), 1u);
+    const std::string spec = "all,-register-sharing,-static";
+    EXPECT_EQ(compiledReg(shared, "r0", spec), 1u);
     Context shared2 = figure3Program();
-    EXPECT_EQ(compiledReg(shared2, "r1", opts), 1u);
+    EXPECT_EQ(compiledReg(shared2, "r1", spec), 1u);
 }
 
 TEST(ResourceSharing, CondComparatorRewrittenInControl)
@@ -171,9 +170,8 @@ TEST(ResourceSharing, CondComparatorRewrittenInControl)
     seq->add(main.takeControl());
     main.setControl(std::move(seq));
 
-    passes::CompileOptions opts;
-    opts.resourceSharing = true;
-    EXPECT_EQ(compiledReg(ctx, "x", opts), 6u);
+    const std::string spec = "all,-register-sharing,-static";
+    EXPECT_EQ(compiledReg(ctx, "x", spec), 6u);
 }
 
 } // namespace

@@ -16,7 +16,7 @@
 
 #include "emit/backend.h"
 #include "ir/parser.h"
-#include "passes/pipeline.h"
+#include "passes/pipeline_spec.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "sim/compiled.h"

@@ -9,6 +9,18 @@ namespace {
 
 using passes::ResourceSharing;
 
+/** Resource sharing alone, leaving units narrower than `min_width`
+ * unshared. */
+passes::PipelineSpec
+sharingAt(Width min_width)
+{
+    passes::PipelineSpec spec =
+        passes::parsePipelineSpec("all,-register-sharing,-static");
+    passes::applyPassOptions(spec, "resource-sharing[min-width=" +
+                                       std::to_string(min_width) + "]");
+    return spec;
+}
+
 /** Two sequential groups using separate adders of the given width. */
 Context
 twoAdderProgram(Width width)
@@ -63,13 +75,12 @@ TEST(ShareHeuristic, ThresholdStillSharesWideUnits)
 
 TEST(ShareHeuristic, PipelineOptionPreservesSemantics)
 {
-    passes::CompileOptions opts;
-    opts.resourceSharing = true;
-    opts.resourceSharingMinWidth = 16;
     Context ctx = twoAdderProgram(8);
-    EXPECT_EQ(testing::compiledReg(ctx, "r0", opts), 1u);
+    passes::runPipeline(ctx, sharingAt(16));
+    EXPECT_EQ(testing::simulatedReg(ctx, "r0", nullptr), 1u);
     Context ctx2 = twoAdderProgram(8);
-    EXPECT_EQ(testing::compiledReg(ctx2, "r1", opts), 1u);
+    passes::runPipeline(ctx2, sharingAt(16));
+    EXPECT_EQ(testing::simulatedReg(ctx2, "r1", nullptr), 1u);
 }
 
 TEST(ShareHeuristic, ThresholdNeverIncreasesLutsVsFullSharing)
@@ -78,10 +89,7 @@ TEST(ShareHeuristic, ThresholdNeverIncreasesLutsVsFullSharing)
     // thresholded sharing should use no more LUTs than full sharing.
     auto luts = [](Width threshold) {
         Context ctx = twoAdderProgram(4);
-        passes::CompileOptions opts;
-        opts.resourceSharing = true;
-        opts.resourceSharingMinWidth = threshold;
-        passes::compile(ctx, opts);
+        passes::runPipeline(ctx, sharingAt(threshold));
         estimate::AreaEstimator est(ctx);
         return est.estimateProgram().luts;
     };

@@ -36,7 +36,7 @@ TEST(SimEdge, DisjointGuardedDriversAreLegal)
 TEST(SimEdge, UnknownCellPathSuggestsClosest)
 {
     Context ctx = testing::counterProgram(3, 2);
-    passes::compile(ctx);
+    passes::runPipeline(ctx, "default");
     sim::SimProgram prog(ctx, "main");
     try {
         prog.findModel("xx"); // actual register is "x"
@@ -51,7 +51,7 @@ TEST(SimEdge, UnknownCellPathSuggestsClosest)
 TEST(SimEdge, UnknownPortPathSuggestsClosest)
 {
     Context ctx = testing::counterProgram(3, 2);
-    passes::compile(ctx);
+    passes::runPipeline(ctx, "default");
     sim::SimProgram prog(ctx, "main");
     try {
         prog.portId("x.outt");
@@ -235,9 +235,9 @@ TEST(SimEdge, SubComponentReinvocationInLoop)
 
     for (bool sensitive : {false, true}) {
         Context copy = Parser::parseProgram(Printer::toString(ctx));
-        passes::CompileOptions opts;
-        opts.sensitive = sensitive;
-        passes::compile(copy, opts);
+        passes::runPipeline(
+            copy, sensitive ? "all,-resource-sharing,-register-sharing"
+                            : "default");
         sim::SimProgram sp(copy, "main");
         sim::CycleSim cs(sp);
         cs.run();

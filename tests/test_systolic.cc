@@ -43,9 +43,9 @@ runArray(int rows, int cols, int inner, bool sensitive,
     cfg.cols = cols;
     cfg.inner = inner;
     systolic::generate(ctx, cfg);
-    passes::CompileOptions options;
-    options.sensitive = sensitive;
-    passes::compile(ctx, options);
+    passes::runPipeline(ctx, sensitive
+                                 ? "all,-resource-sharing,-register-sharing"
+                                 : "default");
 
     sim::SimProgram sp(ctx, "main");
     for (int i = 0; i < rows; ++i) {
