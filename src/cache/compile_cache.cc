@@ -8,7 +8,6 @@
 #include <functional>
 #include <set>
 #include <sstream>
-#include <sys/stat.h>
 #include <unistd.h>
 #include <unordered_set>
 
@@ -18,28 +17,12 @@
 #include "ir/printer.h"
 #include "passes/pipeline_spec.h"
 #include "support/error.h"
+#include "support/file.h"
 #include "support/hash.h"
 
 namespace calyx::cache {
 
 namespace {
-
-bool
-makeDirs(const std::string &path)
-{
-    std::string prefix;
-    for (size_t i = 0; i <= path.size(); ++i) {
-        if (i == path.size() || path[i] == '/') {
-            if (!prefix.empty() && prefix != "/") {
-                if (::mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST)
-                    return false;
-            }
-        }
-        if (i < path.size())
-            prefix += path[i];
-    }
-    return true;
-}
 
 std::optional<std::string>
 readFileIfExists(const std::string &path)
@@ -53,18 +36,14 @@ readFileIfExists(const std::string &path)
 }
 
 /** Write-to-temp + rename, same discipline as the cppsim JIT cache:
- * a concurrent reader sees either nothing or the whole entry. */
+ * a concurrent reader sees either nothing or the whole entry. The disk
+ * tier is best-effort: a failed write (a full disk) publishes nothing,
+ * and the memory tier still holds the entry. */
 void
 writeFileAtomic(const std::string &path, const std::string &text)
 {
     std::string tmp = path + ".tmp" + std::to_string(::getpid());
-    {
-        std::ofstream out(tmp, std::ios::binary);
-        if (!out)
-            return; // Disk tier is best-effort; memory tier still holds it.
-        out << text;
-    }
-    if (::rename(tmp.c_str(), path.c_str()) != 0)
+    if (writeFile(tmp, text) && ::rename(tmp.c_str(), path.c_str()) != 0)
         ::remove(tmp.c_str());
 }
 
@@ -149,13 +128,7 @@ digestProgram(const Context &ctx)
 std::string
 compileCacheDir()
 {
-    if (const char *dir = std::getenv("CALYX_COMPILE_CACHE"); dir && *dir)
-        return dir;
-    if (const char *xdg = std::getenv("XDG_CACHE_HOME"); xdg && *xdg)
-        return std::string(xdg) + "/calyx-compile";
-    if (const char *home = std::getenv("HOME"); home && *home)
-        return std::string(home) + "/.cache/calyx-compile";
-    return "/tmp/calyx-compile";
+    return cacheDir("CALYX_COMPILE_CACHE", "calyx-compile");
 }
 
 std::optional<std::string>

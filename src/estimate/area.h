@@ -25,7 +25,8 @@ struct Area
 
 /**
  * Analytical area model over lowered netlists — the repository's
- * substitute for Vivado synthesis (see DESIGN.md §1). Costs:
+ * substitute for Vivado synthesis. The costs are set in area.cc;
+ * BENCH_qor.json pins their effect on every design bench_qor compiles:
  *
  *  - functional units: per-primitive constants (adder W LUTs, comparator
  *    W, equality/logic W/2, divider 5W, multiplier -> DSPs, ...),

@@ -21,7 +21,9 @@ struct HlsReport
 
 /**
  * Analytical model of a commercial HLS scheduler over the same source
- * program — the repository's substitute for Vivado HLS (DESIGN.md §1).
+ * program — the repository's substitute for Vivado HLS. The constants
+ * below are set in scheduler.cc; BENCH_qor.json pins their effect on
+ * every design bench_qor compiles.
  *
  * Schedule model (calibrated to Vivado HLS 2019.2-era behaviour on the
  * paper's kernels):

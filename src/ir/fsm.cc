@@ -58,6 +58,52 @@ FsmMachine::counterStates() const
     return total;
 }
 
+std::vector<int64_t>
+FsmMachine::codeBases() const
+{
+    std::vector<int64_t> base(stateList.size(), 0);
+    if (stateList.empty())
+        return base;
+    int64_t next = stateList[entryVal].span;
+    for (uint32_t id = 0; id < stateList.size(); ++id) {
+        if (id == entryVal)
+            continue;
+        base[id] = next;
+        next += stateList[id].span;
+    }
+    return base;
+}
+
+std::vector<uint32_t>
+FsmMachine::codeStates() const
+{
+    std::vector<int64_t> base = codeBases();
+    std::vector<uint32_t> owner(static_cast<size_t>(totalCodes()), 0);
+    for (uint32_t id = 0; id < stateList.size(); ++id) {
+        for (int64_t c = base[id]; c < base[id] + stateList[id].span; ++c)
+            owner[static_cast<size_t>(c)] = id;
+    }
+    return owner;
+}
+
+uint64_t
+FsmMachine::encodeCode(FsmEncoding e, int64_t code)
+{
+    if (e == FsmEncoding::Binary || code == 0)
+        return static_cast<uint64_t>(code);
+    return uint64_t(1) << (code - 1);
+}
+
+int64_t
+FsmMachine::decodeWord(FsmEncoding e, uint64_t word)
+{
+    if (e == FsmEncoding::Binary || word == 0)
+        return static_cast<int64_t>(word);
+    if (word & (word - 1))
+        return -1;
+    return __builtin_ctzll(word) + 1;
+}
+
 void
 FsmMachine::compact(const std::vector<bool> &keep)
 {

@@ -123,6 +123,25 @@ class FsmMachine
     /** Number of states with span > 1 (fused static subtrees). */
     int64_t counterStates() const;
 
+    /**
+     * The code layout realization gives the state register: the first
+     * code of each state. The entry state owns [0, span), since the
+     * register resets to zero and the accepting state's self-reset
+     * loads zero; the other states follow in id order, each owning
+     * `span` consecutive codes of the totalCodes() in all.
+     */
+    std::vector<int64_t> codeBases() const;
+    /** The state owning each code of that layout, indexed by code. */
+    std::vector<uint32_t> codeStates() const;
+
+    /** Register word holding code `code` under `e`. Binary stores the
+     * code; one-hot stores code 0 as the all-zeros word (the register's
+     * reset value) and code k as 1 << (k-1). */
+    static uint64_t encodeCode(FsmEncoding e, int64_t code);
+    /** The inverse of encodeCode: the code held by register word
+     * `word`, or -1 when `word` holds none (several one-hot bits). */
+    static int64_t decodeWord(FsmEncoding e, uint64_t word);
+
     // --- Realization record (filled in by lowering::realize) -------------
     bool realized() const { return !groupVal.empty(); }
     Symbol group() const { return groupVal; }
@@ -166,7 +185,7 @@ using FsmMachinePtr = std::unique_ptr<FsmMachine>;
 
 /**
  * Aggregate FSM statistics for one component's machines, reported by
- * `futil --emit-stats` and bench/compile_time.cc.
+ * `futil --emit-stats` and bench/perf.cc.
  */
 struct FsmStats
 {

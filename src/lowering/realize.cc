@@ -11,38 +11,13 @@ namespace {
 
 const PortRef one1 = constant(1, 1);
 
-/** Per-state code layout: binary packs spans into code ranges. */
-struct Layout
-{
-    std::vector<int64_t> base; ///< first code of each state
-    int64_t totalCodes = 0;
-};
-
-Layout
-layoutStates(const FsmMachine &m)
-{
-    // The entry state must own code 0: the register resets to zero and
-    // the accepting state's continuous self-reset loads zero.
-    Layout layout;
-    layout.base.resize(m.states().size(), 0);
-    int64_t next = m.state(m.entry()).span;
-    for (uint32_t id = 0; id < m.states().size(); ++id) {
-        if (id == m.entry())
-            continue;
-        layout.base[id] = next;
-        next += m.state(id).span;
-    }
-    layout.totalCodes = next;
-    return layout;
-}
-
 /** Realizes one machine; holds the shared pieces (register, widths). */
 class Realizer
 {
   public:
     Realizer(FsmMachine &m, Component &comp, Context &ctx,
              const RealizeOptions &opts)
-        : m(m), comp(comp), ctx(ctx), opts(opts), layout(layoutStates(m))
+        : m(m), comp(comp), ctx(ctx), opts(opts), bases(m.codeBases())
     {}
 
     Symbol
@@ -57,7 +32,8 @@ class Realizer
         if (opts.gate)
             goGate = Guard::fromPort(g.goHole());
 
-        if (layout.totalCodes == 1) {
+        int64_t totalCodes = m.totalCodes();
+        if (totalCodes == 1) {
             // Register-free machine: a single always-active state.
             const FsmState &s = m.state(m.entry());
             for (const auto &a : s.actions)
@@ -78,7 +54,7 @@ class Realizer
         } else {
             encoding = opts.encoding;
             if (encoding == FsmEncoding::OneHot &&
-                layout.totalCodes > 64)
+                totalCodes > 64)
                 encoding = FsmEncoding::Binary; // would overflow u64
             // Counter spans decode through exclusive upper-bound
             // windows (`fsm < off+len`), whose bound can reach one
@@ -86,17 +62,17 @@ class Realizer
             // largest comparison constant actually emitted, not just
             // the largest stored code.
             uint64_t max_const =
-                static_cast<uint64_t>(layout.totalCodes - 1);
+                static_cast<uint64_t>(totalCodes - 1);
             for (uint32_t id = 0; id < m.states().size(); ++id) {
                 const FsmState &s = m.state(id);
                 if (s.span > 1)
                     max_const = std::max(
                         max_const, static_cast<uint64_t>(
-                                       layout.base[id] + s.span));
+                                       bases[id] + s.span));
             }
             width = encoding == FsmEncoding::Binary
                         ? fsmWidth(max_const)
-                        : static_cast<Width>(layout.totalCodes - 1);
+                        : static_cast<Width>(totalCodes - 1);
             if (width < 1)
                 width = 1;
             Cell &fsm =
@@ -120,7 +96,7 @@ class Realizer
                 const FsmState &s = m.state(id);
                 if (!s.accepting)
                     continue;
-                GuardPtr at = window(layout.base[id], s.span);
+                GuardPtr at = window(bases[id], s.span);
                 comp.addContinuous(
                     {fsmIn, constant(0, width), at});
                 comp.addContinuous({fsmEn, one1, at});
@@ -165,11 +141,7 @@ class Realizer
     uint64_t
     encode(int64_t code) const
     {
-        if (encoding == FsmEncoding::Binary)
-            return static_cast<uint64_t>(code);
-        // One-hot with an all-zeros entry slot (the register resets to
-        // zero): slot 0 -> 0, slot k -> 1 << (k-1).
-        return code == 0 ? 0 : uint64_t(1) << (code - 1);
+        return FsmMachine::encodeCode(encoding, code);
     }
 
     /** Guard: the machine is inside code window [off, off+len). */
@@ -210,7 +182,7 @@ class Realizer
     realizeState(uint32_t id)
     {
         const FsmState &s = m.state(id);
-        int64_t base = layout.base[id];
+        int64_t base = bases[id];
 
         for (const auto &a : s.actions) {
             int64_t len = a.length == FsmAction::kWholeSpan
@@ -240,7 +212,7 @@ class Realizer
         // are pairwise disjoint by construction (see ir/fsm.h).
         GuardPtr at_last = window(base + s.span - 1, 1);
         for (const auto &t : s.transitions) {
-            writeState(encode(layout.base[t.target]),
+            writeState(encode(bases[t.target]),
                        Guard::conj(at_last, t.guard));
         }
 
@@ -288,7 +260,7 @@ class Realizer
     Component &comp;
     Context &ctx;
     const RealizeOptions &opts;
-    Layout layout;
+    std::vector<int64_t> bases; ///< first code of each state
     Group *group = nullptr;
     GuardPtr goGate = Guard::trueGuard();
     FsmEncoding encoding = FsmEncoding::Binary;

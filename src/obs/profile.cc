@@ -41,34 +41,14 @@ Profiler::Profiler(const SimProgram &prog) : prog(&prog)
                 MachineWatch w;
                 w.name = inst.path + fm.name().str();
                 w.root = inst.path.empty();
-                w.encoding = fsmEncodingName(fm.encoding());
+                w.encoding = fm.encoding();
                 for (const FsmState &s : fm.states())
                     w.states.push_back({s.name.str(), 0});
                 if (!fm.registerCell().empty()) {
                     w.registerCell = fm.registerCell().str();
                     w.regPort = prog.portId(
                         Symbol(inst.path + w.registerCell + ".out"));
-                    w.oneHot = fm.encoding() == FsmEncoding::OneHot;
-                    // Replicate the realized code layout
-                    // (lowering/realize.cc layoutStates): the entry
-                    // state owns [0, span), the rest follow in id
-                    // order, each owning `span` consecutive codes.
-                    std::vector<int64_t> base(fm.states().size(), 0);
-                    int64_t next = fm.state(fm.entry()).span;
-                    for (uint32_t id = 0; id < fm.states().size();
-                         ++id) {
-                        if (id == fm.entry())
-                            continue;
-                        base[id] = next;
-                        next += fm.state(id).span;
-                    }
-                    w.codeToState.assign(static_cast<size_t>(next), 0);
-                    for (uint32_t id = 0; id < fm.states().size();
-                         ++id) {
-                        for (int64_t c = base[id];
-                             c < base[id] + fm.state(id).span; ++c)
-                            w.codeToState[static_cast<size_t>(c)] = id;
-                    }
+                    w.codeToState = fm.codeStates();
                 }
                 machines.push_back(std::move(w));
             }
@@ -148,22 +128,9 @@ Profiler::cycleSettled(uint64_t cycle, const uint64_t *vals)
         if (m.codeToState.empty())
             continue; // register-free: nothing to decode
         any_watch = true;
-        uint64_t v = vals[m.regPort];
-        int64_t code = -1;
-        if (!m.oneHot) {
-            if (v < m.codeToState.size())
-                code = static_cast<int64_t>(v);
-        } else {
-            // One-hot per realize.cc: slot 0 is all-zeros, slot k is
-            // 1 << (k-1).
-            if (v == 0)
-                code = 0;
-            else if ((v & (v - 1)) == 0)
-                code = __builtin_ctzll(v) + 1;
-            if (code >= static_cast<int64_t>(m.codeToState.size()))
-                code = -1;
-        }
-        if (code < 0) {
+        int64_t code = FsmMachine::decodeWord(m.encoding, vals[m.regPort]);
+        if (code < 0 ||
+            code >= static_cast<int64_t>(m.codeToState.size())) {
             ++m.unattributed;
             continue;
         }
@@ -262,7 +229,7 @@ Profiler::report() const
         json::Value o = json::Value::object();
         o.set("name", json::Value::str(m.name));
         o.set("register", json::Value::str(m.registerCell));
-        o.set("encoding", json::Value::str(m.encoding));
+        o.set("encoding", json::Value::str(fsmEncodingName(m.encoding)));
         json::Value sarr = json::Value::array();
         for (const StateCount &s : m.states) {
             json::Value so = json::Value::object();

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/fsm.h"
 #include "obs/observer.h"
 #include "support/json.h"
 
@@ -79,13 +80,11 @@ class Profiler : public SimObserver
     {
         std::string name;     ///< Instance-path-qualified machine name.
         std::string registerCell; ///< "" for register-free machines.
-        const char *encoding = "binary";
+        FsmEncoding encoding = FsmEncoding::Binary;
         bool root = false;    ///< Lives in the top instance.
         uint32_t regPort = 0; ///< State register's `out` port id.
-        bool oneHot = false;
         std::vector<StateCount> states;
-        /// code -> index into `states` (replicates the realized
-        /// layout: entry first, the rest in id order, spans widening).
+        /// code -> index into `states` (FsmMachine::codeStates).
         std::vector<uint32_t> codeToState;
         uint64_t unattributed = 0;
     };

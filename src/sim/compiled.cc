@@ -16,6 +16,7 @@
 #include "emit/cppsim.h"
 #include "sim/env.h"
 #include "support/error.h"
+#include "support/file.h"
 #include "support/hash.h"
 #include "support/pool.h"
 #include "support/subprocess.h"
@@ -84,37 +85,10 @@ compileFlags(size_t source_bytes, uint32_t lanes)
 }
 
 bool
-makeDirs(const std::string &path)
-{
-    // mkdir -p: create each prefix, tolerating already-exists.
-    for (size_t i = 1; i <= path.size(); ++i) {
-        if (i != path.size() && path[i] != '/')
-            continue;
-        std::string prefix = path.substr(0, i);
-        if (mkdir(prefix.c_str(), 0755) != 0 && errno != EEXIST)
-            return false;
-    }
-    return true;
-}
-
-bool
 fileExists(const std::string &path)
 {
     struct stat st;
     return stat(path.c_str(), &st) == 0 && S_ISREG(st.st_mode);
-}
-
-bool
-writeFile(const std::string &path, const std::string &data)
-{
-    FILE *f = fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    size_t n = fwrite(data.data(), 1, data.size(), f);
-    bool ok = n == data.size() && fclose(f) == 0;
-    if (!ok)
-        unlink(path.c_str());
-    return ok;
 }
 
 /**
@@ -323,13 +297,7 @@ resolveSym(void *handle, const char *name, const std::string &so)
 std::string
 compiledCacheDir()
 {
-    if (const char *dir = std::getenv("CALYX_CPPSIM_CACHE"); dir && *dir)
-        return dir;
-    if (const char *xdg = std::getenv("XDG_CACHE_HOME"); xdg && *xdg)
-        return std::string(xdg) + "/calyx-cppsim";
-    if (const char *home = std::getenv("HOME"); home && *home)
-        return std::string(home) + "/.cache/calyx-cppsim";
-    return "/tmp/calyx-cppsim";
+    return cacheDir("CALYX_CPPSIM_CACHE", "calyx-cppsim");
 }
 
 std::string

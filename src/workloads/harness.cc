@@ -1,7 +1,5 @@
 #include "workloads/harness.h"
 
-#include <chrono>
-
 #include "emit/backend.h"
 #include "frontends/dahlia/codegen.h"
 #include "frontends/dahlia/interp.h"
@@ -156,18 +154,10 @@ runOnHardware(const dahlia::Program &program,
               sim::Engine engine,
               const std::vector<obs::SimObserver *> &observers)
 {
-    using clock = std::chrono::steady_clock;
-    auto start = clock::now();
-
     Context ctx = dahlia::compileDahlia(program);
+    passes::runPipeline(ctx, spec, run_options);
 
     HardwareResult result;
-    result.stats = passes::gatherStats(ctx);
-
-    passes::runPipeline(ctx, spec, run_options);
-    result.compileSeconds =
-        std::chrono::duration<double>(clock::now() - start).count();
-
     estimate::AreaEstimator estimator(ctx);
     result.area = estimator.estimateProgram();
 
@@ -178,10 +168,7 @@ runOnHardware(const dahlia::Program &program,
 
     pokeInputs(sp, program, inputs);
 
-    auto sim_start = clock::now();
     result.cycles = cs.run();
-    result.simSeconds =
-        std::chrono::duration<double>(clock::now() - sim_start).count();
 
     if (final_state)
         *final_state = readMemories(sp, program);

@@ -17,22 +17,11 @@ class SimObserver;
 
 namespace calyx::workloads {
 
-/** Everything measured for one compiled-and-simulated design. */
+/** Cycles and area of one compiled-and-simulated design. */
 struct HardwareResult
 {
     uint64_t cycles = 0;
     estimate::Area area;
-    passes::DesignStats stats; ///< Pre-compilation IL statistics.
-    double compileSeconds = 0.0;
-    double simSeconds = 0.0; ///< Wall-clock time inside CycleSim::run().
-
-    /** Simulator throughput (0 when the run was too fast to time). */
-    double
-    cyclesPerSecond() const
-    {
-        return simSeconds > 0 ? static_cast<double>(cycles) / simSeconds
-                              : 0.0;
-    }
 };
 
 /** Deterministic inputs for every memory a program declares. */
@@ -68,7 +57,7 @@ MemState runOnInterp(const dahlia::Program &program,
 
 /**
  * Compile a Dahlia program through a Calyx pass pipeline, simulate it
- * with the given inputs, and report cycles/area/compile time. The final
+ * with the given inputs, and report cycles and area. The final
  * memory state (translated back from banked cells to the original
  * layout) is stored in `final_state` when non-null.
  *

@@ -10,11 +10,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "cache/compile_cache.h"
@@ -320,6 +324,56 @@ TEST(CompileService, DiskTierSurvivesRestart)
     EXPECT_TRUE(res.passInfos.empty());
     EXPECT_EQ(res.artifact, artifact);
     EXPECT_GT(svc.cacheStats().diskHits, 0u);
+
+    std::string cmd = "rm -rf " + dir;
+    (void)std::system(cmd.c_str());
+}
+
+/**
+ * A disk entry that cannot be written whole is not published. A 64-byte
+ * file-size limit, with SIGXFSZ ignored so the write fails with EFBIG
+ * instead of killing the process, stands in for a full disk. The
+ * service still answers from its memory tier, and a fresh service on
+ * the same directory must miss rather than serve a truncated artifact.
+ */
+TEST(CompileService, FailedDiskWritePublishesNothing)
+{
+    char tmpl[] = "/tmp/calyx-compile-test-XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    const std::string dir = tmpl;
+
+    std::ifstream in(std::string(CALYX_EXAMPLES_DIR) + "/counter.futil");
+    std::ostringstream text;
+    text << in.rdbuf();
+    cache::CompileRequest req;
+    req.source = text.str();
+    req.pipeline = "all";
+    req.backend = "verilog";
+    const std::string cold = coldCompile(req.source, "all", "verilog");
+    ASSERT_GT(cold.size(), 64u);
+
+    cache::CompileCache::Config cfg;
+    cfg.diskDir = dir;
+    std::string first;
+    {
+        cache::CompileService svc(cfg);
+        struct rlimit saved;
+        ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+        struct rlimit small = saved;
+        small.rlim_cur = 64;
+        void (*prev)(int) = std::signal(SIGXFSZ, SIG_IGN);
+        ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &small), 0);
+        first = svc.compile(req).artifact;
+        ::setrlimit(RLIMIT_FSIZE, &saved);
+        std::signal(SIGXFSZ, prev);
+    }
+    EXPECT_EQ(first, cold);
+
+    cache::CompileService fresh(cfg);
+    cache::CompileResult res = fresh.compile(req);
+    EXPECT_FALSE(res.rawTextHit);
+    EXPECT_FALSE(res.artifactFromCache);
+    EXPECT_EQ(res.artifact, cold);
 
     std::string cmd = "rm -rf " + dir;
     (void)std::system(cmd.c_str());

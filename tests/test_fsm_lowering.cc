@@ -9,14 +9,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 
 #include "emit/dot.h"
+#include "frontends/dahlia/codegen.h"
+#include "frontends/dahlia/parser.h"
+#include "frontends/systolic/systolic.h"
 #include "helpers.h"
 #include "ir/defuse.h"
 #include "ir/fsm.h"
 #include "lowering/lower.h"
 #include "support/error.h"
+#include "workloads/polybench.h"
 
 namespace calyx {
 namespace {
@@ -49,6 +54,32 @@ TEST(FsmIr, MachineBasics)
     EXPECT_NE(text.find("entry"), std::string::npos);
     EXPECT_NE(text.find("accepting"), std::string::npos);
     EXPECT_NE(text.find("span=3"), std::string::npos);
+}
+
+/**
+ * The code layout realization and the profiler share: the entry state
+ * owns code 0 whatever its id, the others follow in id order, and a
+ * one-hot word decodes back to its code.
+ */
+TEST(FsmIr, CodeLayoutPutsEntryFirst)
+{
+    FsmMachine m("m");
+    m.addState("a");
+    uint32_t b = m.addState("b", 3);
+    m.addState("done");
+    m.setEntry(b);
+
+    EXPECT_EQ(m.codeBases(), (std::vector<int64_t>{3, 0, 4}));
+    EXPECT_EQ(m.codeStates(), (std::vector<uint32_t>{1, 1, 1, 0, 2}));
+    for (FsmEncoding e : {FsmEncoding::Binary, FsmEncoding::OneHot}) {
+        for (int64_t code = 0; code < m.totalCodes(); ++code) {
+            uint64_t word = FsmMachine::encodeCode(e, code);
+            EXPECT_EQ(FsmMachine::decodeWord(e, word), code);
+        }
+    }
+    EXPECT_EQ(FsmMachine::encodeCode(FsmEncoding::OneHot, 0), 0u);
+    EXPECT_EQ(FsmMachine::encodeCode(FsmEncoding::OneHot, 3), 4u);
+    EXPECT_EQ(FsmMachine::decodeWord(FsmEncoding::OneHot, 6), -1);
 }
 
 TEST(FsmIr, CompactRemapsTargetsAndEntry)
@@ -334,21 +365,109 @@ TEST(FsmAcceptance, NestedSeqUsesStrictlyFewerFsmRegisters)
     EXPECT_EQ(compiledReg(check, "x", "default"), 4u);
 }
 
+/**
+ * Control-heavy design: `loops` while loops in sequence, each around a
+ * nested seq, an if and a par over register writes. The shape the flat
+ * FSM lowering exists for.
+ */
+Context
+controlHeavyProgram(int loops)
+{
+    Context ctx;
+    auto b = ComponentBuilder::create(ctx, "main");
+    b.reg("x", 16);
+    b.reg("y", 16);
+    b.add("ax", 16);
+    int groups = 0;
+    auto write = [&](const std::string &dst) {
+        std::string g = "w" + std::to_string(groups++);
+        b.regWriteGroup(g, dst, constant(groups % 100, 16));
+        return ComponentBuilder::enable(g);
+    };
+    std::vector<ControlPtr> top;
+    for (int l = 0; l < loops; ++l) {
+        std::string id = std::to_string(l);
+        b.reg("i" + id, 8);
+        b.add("ia" + id, 8);
+        b.cell("lt" + id, "std_lt", {8});
+        b.regWriteGroup("init" + id, "i" + id, constant(0, 8));
+        Group &cond = b.group("cond" + id);
+        cond.add(cellPort("lt" + id, "left"), cellPort("i" + id, "out"));
+        cond.add(cellPort("lt" + id, "right"), constant(3, 8));
+        cond.add(cond.doneHole(), constant(1, 1));
+        Group &bump = b.group("bump" + id);
+        bump.add(cellPort("ia" + id, "left"), cellPort("i" + id, "out"));
+        bump.add(cellPort("ia" + id, "right"), constant(1, 8));
+        bump.add(cellPort("i" + id, "in"), cellPort("ia" + id, "out"));
+        bump.add(cellPort("i" + id, "write_en"), constant(1, 1));
+        bump.add(bump.doneHole(), cellPort("i" + id, "done"));
+
+        std::vector<ControlPtr> inner2;
+        inner2.push_back(write("x"));
+        inner2.push_back(write("x"));
+        std::vector<ControlPtr> inner1;
+        inner1.push_back(write("x"));
+        inner1.push_back(ComponentBuilder::seq(std::move(inner2)));
+        std::vector<ControlPtr> arms;
+        arms.push_back(write("x"));
+        arms.push_back(write("y"));
+        std::vector<ControlPtr> body;
+        body.push_back(ComponentBuilder::seq(std::move(inner1)));
+        body.push_back(ComponentBuilder::ifStmt(cellPort("lt" + id, "out"),
+                                                "cond" + id, write("x"),
+                                                write("y")));
+        body.push_back(ComponentBuilder::par(std::move(arms)));
+        body.push_back(ComponentBuilder::enable("bump" + id));
+        top.push_back(ComponentBuilder::enable("init" + id));
+        top.push_back(ComponentBuilder::whileStmt(
+            cellPort("lt" + id, "out"), "cond" + id,
+            ComponentBuilder::seq(std::move(body))));
+    }
+    b.component().setControl(ComponentBuilder::seq(std::move(top)));
+    return ctx;
+}
+
 TEST(FsmAcceptance, FlatNeverMintsMoreControlRegistersThanSeed)
 {
-    auto shapes = std::vector<std::function<Context()>>{
-        [] { return counterProgram(3, 2); },
-        [] { return seq3Program(); },
-        [] { return nestedSeqProgram(); },
+    std::vector<std::pair<std::string, std::function<Context()>>> shapes = {
+        {"counter", [] { return counterProgram(3, 2); }},
+        {"seq3", [] { return seq3Program(); }},
+        {"nested seq", [] { return nestedSeqProgram(); }},
     };
+    // Under `all` also the designs bench_perf compiles, and a
+    // control-heavy design that must lower to at least one machine.
+    std::vector<std::pair<std::string, std::function<Context()>>> more = {
+        {"control heavy", [] { return controlHeavyProgram(6); }},
+        {"gemm", [] { return dahlia::compileDahlia(dahlia::parse(
+                          workloads::kernel("gemm").source)); }},
+        {"atax", [] { return dahlia::compileDahlia(dahlia::parse(
+                          workloads::kernel("atax").source)); }},
+    };
+    for (int dim : {8, 16}) {
+        more.emplace_back("systolic " + std::to_string(dim), [dim] {
+            Context ctx;
+            systolic::Config cfg;
+            cfg.rows = cfg.cols = cfg.inner = dim;
+            systolic::generate(ctx, cfg);
+            return ctx;
+        });
+    }
     for (const auto &spec : {std::string("default"), std::string("all")}) {
-        for (const auto &build : shapes) {
+        if (spec == "all")
+            shapes.insert(shapes.end(), more.begin(), more.end());
+        for (const auto &[name, build] : shapes) {
             Context ctx = build();
             passes::runPipeline(ctx, spec);
+            int machines = 0;
             for (const auto &comp : ctx.components()) {
                 FsmStats stats = fsmStats(*comp);
                 EXPECT_LE(stats.controlRegisters, stats.seedRegisters)
-                    << comp->name().str() << " with " << spec;
+                    << name << ": " << comp->name().str() << " with "
+                    << spec;
+                machines += stats.machines;
+            }
+            if (name == "control heavy") {
+                EXPECT_GE(machines, 1) << "with " << spec;
             }
         }
     }

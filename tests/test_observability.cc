@@ -201,18 +201,26 @@ TEST(ObsProfile, LoweredCounterStateOccupancy)
 
 TEST(ObsProfile, DefaultPipelineCounterStateOccupancy)
 {
-    Context ctx = Parser::parseProgram(readExample("counter.futil"));
-    passes::runPipeline(ctx, "default");
-    sim::SimProgram sp(ctx, "main");
-    obs::Profiler prof(sp);
-    sim::CycleSim cs(sp);
-    cs.state().addObserver(&prof);
-    uint64_t cycles = cs.run();
+    // The profiler decodes the state register under either encoding.
+    for (const char *encoding : {"binary", "one-hot"}) {
+        passes::PipelineSpec spec = passes::parsePipelineSpec("default");
+        passes::applyPassOptions(
+            spec, std::string("compile-control[encoding=") + encoding + "]");
+        Context ctx = Parser::parseProgram(readExample("counter.futil"));
+        passes::runPipeline(ctx, spec);
+        const FsmMachine &fsm = *ctx.component("main").fsms()[0];
+        ASSERT_STREQ(fsmEncodingName(fsm.encoding()), encoding);
+        sim::SimProgram sp(ctx, "main");
+        obs::Profiler prof(sp);
+        sim::CycleSim cs(sp);
+        cs.state().addObserver(&prof);
+        uint64_t cycles = cs.run();
 
-    EXPECT_EQ(cycles, 5u);
-    EXPECT_EQ(prof.stateCycles("control0", "write"), 2u);
-    EXPECT_EQ(prof.stateCycles("control0", "done"), 1u);
-    EXPECT_DOUBLE_EQ(prof.attributedPct(), 100.0);
+        EXPECT_EQ(cycles, 5u) << encoding;
+        EXPECT_EQ(prof.stateCycles("control0", "write"), 2u) << encoding;
+        EXPECT_EQ(prof.stateCycles("control0", "done"), 1u) << encoding;
+        EXPECT_DOUBLE_EQ(prof.attributedPct(), 100.0) << encoding;
+    }
 }
 
 /**
