@@ -36,6 +36,20 @@ class DahliaParser
   private:
     std::vector<Token> toks;
     size_t pos = 0;
+    int depth = 0; ///< Nesting levels open (see kMaxNesting).
+
+    /** One level of nesting, held while its recursive call runs. */
+    struct Nest
+    {
+        explicit Nest(DahliaParser &p) : p(p)
+        {
+            if (++p.depth > kMaxNesting)
+                p.err("nesting deeper than " + std::to_string(kMaxNesting) +
+                      " levels");
+        }
+        ~Nest() { --p.depth; }
+        DahliaParser &p;
+    };
 
     const Token &peek() const { return toks[pos]; }
     Token
@@ -163,6 +177,7 @@ class DahliaParser
     block()
     {
         expectSymbol("{");
+        Nest nest(*this);
         StmtPtr body = composition();
         expectSymbol("}");
         return body;
@@ -306,6 +321,7 @@ class DahliaParser
             return Expr::num(next().number);
         if (isSymbol("(")) {
             next();
+            Nest nest(*this);
             ExprPtr e = expression();
             expectSymbol(")");
             return e;
@@ -313,6 +329,7 @@ class DahliaParser
         if (isIdent("sqrt")) {
             next();
             expectSymbol("(");
+            Nest nest(*this);
             ExprPtr e = expression();
             expectSymbol(")");
             return Expr::sqrt(std::move(e));
@@ -324,6 +341,7 @@ class DahliaParser
             std::vector<ExprPtr> indices;
             while (isSymbol("[")) {
                 next();
+                Nest nest(*this);
                 indices.push_back(expression());
                 expectSymbol("]");
             }

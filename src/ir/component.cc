@@ -1,7 +1,6 @@
 #include "ir/component.h"
 
 #include "ir/context.h"
-#include "ir/defuse.h"
 #include "support/error.h"
 #include "support/text.h"
 
@@ -15,8 +14,6 @@ Component::Component(Symbol name)
     sig.push_back(PortDef{goSymbol(), 1, Direction::Input});
     sig.push_back(PortDef{doneSymbol(), 1, Direction::Output});
 }
-
-Component::~Component() = default;
 
 void
 Component::addInput(Symbol name, Width width)
@@ -141,8 +138,7 @@ Component::removeCell(Symbol name)
     }
     // Uses of the removed name (if any remain) are now dangling; the
     // WellFormed dangling-reference check reports them with their
-    // sites. The DefUse index itself records uses, not definitions,
-    // so it stays valid.
+    // sites.
 }
 
 void
@@ -170,7 +166,6 @@ Component::addGroup(Symbol name)
     auto group = std::make_unique<Group>(name);
     Group *raw = group.get();
     raw->idVal = static_cast<uint32_t>(groupList.size());
-    raw->owner = this;
     groupIndex.emplace(name, raw->idVal);
     groupList.push_back(std::move(group));
     return *raw;
@@ -221,22 +216,8 @@ Component::removeGroup(Symbol name)
         groupList[i]->idVal = i;
         groupIndex[groupList[i]->name()] = i;
     }
-    // The group's assignments die with it: drop their use sites. Uses
-    // *of* the group elsewhere (holes, enables) stay — they are now
-    // dangling and WellFormed reports them.
-    if (defUseCache)
-        defUseCache->removeGroupSites(name);
-}
-
-void
-Component::addContinuous(Assignment a)
-{
-    continuous.push_back(std::move(a));
-    if (defUseCache) {
-        defUseCache->addAssignment(
-            Symbol(), static_cast<uint32_t>(continuous.size() - 1),
-            continuous.back());
-    }
+    // Uses *of* the group elsewhere (holes, enables) stay: they are
+    // now dangling and WellFormed reports them.
 }
 
 FsmMachine &
@@ -256,39 +237,15 @@ Component::noteFsmLowering(int seed_registers, double seconds)
 void
 Component::setControl(ControlPtr c)
 {
-    invalidateDefUse();
     controlVal = std::move(c);
 }
 
 ControlPtr
 Component::takeControl()
 {
-    invalidateDefUse();
     ControlPtr out = std::move(controlVal);
     controlVal = std::make_unique<Empty>();
     return out;
-}
-
-const DefUse &
-Component::defUse() const
-{
-    if (!defUseCache)
-        defUseCache = std::make_unique<DefUse>(DefUse::compute(*this));
-    return *defUseCache;
-}
-
-void
-Component::invalidateDefUse() const
-{
-    defUseCache.reset();
-}
-
-void
-Component::noteGroupAssign(Symbol group, uint32_t index,
-                           const Assignment &a)
-{
-    if (defUseCache)
-        defUseCache->addAssignment(group, index, a);
 }
 
 Symbol

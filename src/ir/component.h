@@ -17,7 +17,6 @@
 namespace calyx {
 
 class Context;
-class DefUse;
 
 /**
  * A Calyx component (paper §3.1): a signature, a set of cells, wires
@@ -26,14 +25,12 @@ class DefUse;
  * All names are interned Symbols. Cells and groups carry dense ids
  * (their positions in cells()/groups()); the name indices are
  * symbol-keyed hash maps, so lookup is O(1) instead of a string-keyed
- * tree walk. The component also caches a DefUse index over its wires
- * and control (see ir/defuse.h for the maintenance contract).
+ * tree walk.
  */
 class Component
 {
   public:
     explicit Component(Symbol name);
-    ~Component();
 
     Symbol name() const { return nameVal; }
 
@@ -81,26 +78,15 @@ class Component
     }
 
     // --- Wires and control -----------------------------------------------
-    /** Mutable wire access invalidates the DefUse cache (see defuse.h). */
-    std::vector<Assignment> &
-    continuousAssignments()
-    {
-        invalidateDefUse();
-        return continuous;
-    }
+    std::vector<Assignment> &continuousAssignments() { return continuous; }
     const std::vector<Assignment> &continuousAssignments() const
     {
         return continuous;
     }
-    /** Append a continuous assignment (DefUse-maintaining). */
-    void addContinuous(Assignment a);
+    /** Append a continuous assignment. */
+    void addContinuous(Assignment a) { continuous.push_back(std::move(a)); }
 
-    Control &
-    control()
-    {
-        invalidateDefUse();
-        return *controlVal;
-    }
+    Control &control() { return *controlVal; }
     const Control &control() const { return *controlVal; }
     void setControl(ControlPtr c);
     ControlPtr takeControl();
@@ -123,13 +109,6 @@ class Component
     int fsmSeedRegisters() const { return fsmSeedRegs; }
     double fsmLoweringSeconds() const { return fsmSeconds; }
 
-    // --- DefUse ----------------------------------------------------------
-    /** The def-use index, computed on first use and cached. */
-    const DefUse &defUse() const;
-    /** The cached index, or nullptr when none is materialized. */
-    const DefUse *maintainedDefUse() const { return defUseCache.get(); }
-    void invalidateDefUse() const;
-
     // --- Utilities ---------------------------------------------------------
     /**
      * Fresh name with the given prefix, unused by cells/groups/ports.
@@ -151,12 +130,6 @@ class Component
     }
 
   private:
-    friend class Group;
-
-    /** Group::add hook: records the new assignment in the index. */
-    void noteGroupAssign(Symbol group, uint32_t index,
-                         const Assignment &a);
-
     /** Error path for cell(): fatal with a did-you-mean suggestion. */
     [[noreturn]] void noSuchCell(Symbol name) const;
 
@@ -174,7 +147,6 @@ class Component
     double fsmSeconds = 0;
     /** Next counter per uniqueName prefix (amortizes fresh names). */
     mutable std::unordered_map<Symbol, uint32_t> uniqueCounters;
-    mutable std::unique_ptr<DefUse> defUseCache;
 };
 
 } // namespace calyx

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "ir/component.h"
-#include "support/error.h"
 
 namespace calyx {
 
@@ -123,10 +122,7 @@ DefUse::compute(const Component &comp)
     for (uint32_t i = 0; i < continuous.size(); ++i)
         du.addAssignment(Symbol(), i, continuous[i]);
     for (const auto &group : comp.groups()) {
-        // as_const: the mutable assignments() overload would invalidate
-        // the component's cached index mid-recompute (and under
-        // verifyDefUse, free the index being verified).
-        const auto &assigns = std::as_const(*group).assignments();
+        const auto &assigns = group->assignments();
         for (uint32_t i = 0; i < assigns.size(); ++i)
             du.addAssignment(group->name(), i, assigns[i]);
     }
@@ -138,102 +134,7 @@ const DefUse::Uses *
 DefUse::find(Symbol s) const
 {
     auto it = map.find(s);
-    if (it == map.end() || it->second.empty())
-        return nullptr;
-    return &it->second;
-}
-
-void
-DefUse::removeGroupSites(Symbol group)
-{
-    for (auto it = map.begin(); it != map.end();) {
-        auto &assigns = it->second.assigns;
-        std::erase_if(assigns, [group](const AssignSite &site) {
-            return site.group == group;
-        });
-        if (it->second.empty())
-            it = map.erase(it);
-        else
-            ++it;
-    }
-}
-
-namespace {
-
-std::string
-describeSites(const DefUse::Uses &uses)
-{
-    std::string out = std::to_string(uses.assigns.size()) +
-                      " assignment site(s), " +
-                      std::to_string(uses.control.size()) +
-                      " control site(s)";
-    return out;
-}
-
-} // namespace
-
-bool
-DefUse::equivalent(const DefUse &other, std::string *why) const
-{
-    auto normalize = [](const Uses &u) {
-        Uses out = u;
-        std::sort(out.assigns.begin(), out.assigns.end(),
-                  [](const AssignSite &a, const AssignSite &b) {
-                      return std::tuple(a.group.id(), a.index, a.roles) <
-                             std::tuple(b.group.id(), b.index, b.roles);
-                  });
-        std::sort(out.control.begin(), out.control.end(),
-                  [](const ControlUse &a, const ControlUse &b) {
-                      return std::tuple(a.node, a.asGroup) <
-                             std::tuple(b.node, b.asGroup);
-                  });
-        return out;
-    };
-
-    auto compareDir = [&](const DefUse &a, const DefUse &b,
-                          const char *label) {
-        for (const auto &[sym, uses] : a.map) {
-            if (uses.empty())
-                continue;
-            const Uses *match = b.find(sym);
-            if (!match) {
-                if (why) {
-                    *why = std::string(label) + ": symbol '" + sym.str() +
-                           "' has " + describeSites(uses) +
-                           " on one side and none on the other";
-                }
-                return false;
-            }
-            Uses na = normalize(uses), nb = normalize(*match);
-            if (!(na.assigns == nb.assigns && na.control == nb.control)) {
-                if (why) {
-                    *why = std::string(label) + ": symbol '" + sym.str() +
-                           "' differs (" + describeSites(na) + " vs " +
-                           describeSites(nb) + ")";
-                }
-                return false;
-            }
-        }
-        return true;
-    };
-
-    return compareDir(*this, other, "maintained vs recomputed") &&
-           compareDir(other, *this, "recomputed vs maintained");
-}
-
-void
-verifyDefUse(const Component &comp)
-{
-    const DefUse *maintained = comp.maintainedDefUse();
-    if (!maintained)
-        return;
-    DefUse fresh = DefUse::compute(comp);
-    std::string why;
-    if (!maintained->equivalent(fresh, &why)) {
-        fatal("component ", comp.name(),
-              ": maintained DefUse index out of sync with recompute: ",
-              why);
-    }
+    return it == map.end() ? nullptr : &it->second;
 }
 
 } // namespace calyx
@@ -284,7 +185,7 @@ registerCells(const Component &comp)
 }
 
 std::map<Symbol, RegAccess>
-registerAccess(const Component &comp)
+registerAccess(const Component &comp, const DefUse &du)
 {
     std::set<Symbol> regs = registerCells(comp);
     std::map<Symbol, RegAccess> out;
@@ -292,8 +193,6 @@ registerAccess(const Component &comp)
     // callers can index unconditionally (historical contract).
     for (const auto &group : comp.groups())
         out[group->name()];
-
-    const DefUse &du = comp.defUse();
 
     // Per-(group, register) write classification bits.
     constexpr uint8_t kUncondEn = 1, kUncondIn = 2, kDoneBacked = 4;
@@ -365,11 +264,10 @@ registerAccess(const Component &comp)
 }
 
 std::set<Symbol>
-alwaysLiveRegisters(const Component &comp)
+alwaysLiveRegisters(const Component &comp, const DefUse &du)
 {
     std::set<Symbol> regs = registerCells(comp);
     std::set<Symbol> out;
-    const DefUse &du = comp.defUse();
 
     for (Symbol reg : regs) {
         if (comp.cell(reg).attrs().has(Attributes::externalAttr)) {

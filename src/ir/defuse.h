@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,22 +22,11 @@ class Control;
  * string-comparing names (the paper's "shared infrastructure" argument
  * applied to the compiler itself: one index, many passes).
  *
- * Lifecycle (the maintenance contract, see docs/ir.md):
- *  - `Component::defUse()` computes the index on first use and caches
- *    it on the component.
- *  - Structured mutators keep it current incrementally: Group::add and
- *    Component::addContinuous record the new sites; removeGroup drops
- *    the sites the group's death takes with it; add/remove/renameCell
- *    and addGroup touch only definitions, which live in the component's
- *    own symbol-keyed indices.
- *  - Raw access to mutable state (Group::assignments(),
- *    Component::continuousAssignments(), control() non-const,
- *    setControl/takeControl) invalidates the cache; the next defUse()
- *    call recomputes. Conservative, never wrong.
- *  - verifyDefUse() cross-checks a live index against a full recompute
- *    and is wired into the WellFormed pass, so any maintenance bug
- *    surfaces as a named verification failure rather than a silently
- *    stale analysis.
+ * The index is a snapshot: `DefUse::compute` walks the component once,
+ * and the caller owns the result. It does not follow later mutations;
+ * a pass that changes the component and needs the index again computes
+ * a new one. Control sites point into the component's control tree, so
+ * the index must not outlive a setControl() or takeControl().
  *
  * A use records *where* (continuous block or group + assignment index,
  * or a control node) and *how* (dst/src/guard x cell-ref/hole-ref).
@@ -63,8 +51,6 @@ class DefUse
         Symbol group;       ///< Empty = continuous assignments.
         uint32_t index = 0; ///< Position in the owning vector.
         uint8_t roles = 0;  ///< Bitmask of the k* role constants.
-
-        bool operator==(const AssignSite &other) const = default;
     };
 
     /** One control node referencing the symbol. */
@@ -83,16 +69,11 @@ class DefUse
         std::vector<AssignSite> assigns;
         std::vector<ControlUse> control;
 
-        bool
-        empty() const
-        {
-            return assigns.empty() && control.empty();
-        }
         /** Whether any assignment role matches `mask`. */
         bool anyAssign(uint8_t mask) const;
     };
 
-    /** Full recompute: one walk over wires and control. */
+    /** One walk over the component's wires and control. */
     static DefUse compute(const Component &comp);
 
     /** Uses of `s`, or nullptr when nothing references it. */
@@ -103,32 +84,13 @@ class DefUse
         return map;
     }
 
-    // --- Incremental maintenance (Component/Group hooks) -----------------
-
-    /** Record the sites of `a`, just appended at `group`[`index`]. */
-    void addAssignment(Symbol group, uint32_t index, const Assignment &a);
-
-    /** Drop every site located inside `group` (the group was removed). */
-    void removeGroupSites(Symbol group);
-
-    /**
-     * Order-insensitive equivalence against `other`; on mismatch
-     * `why` (when non-null) receives a human-readable first difference.
-     */
-    bool equivalent(const DefUse &other, std::string *why = nullptr) const;
-
   private:
+    void addAssignment(Symbol group, uint32_t index, const Assignment &a);
     void addControlUse(Symbol s, const Control *node, bool as_group);
     void collectControl(const Control &ctrl);
 
     std::unordered_map<Symbol, Uses> map;
 };
-
-/**
- * fatal() when `comp` carries a maintained DefUse index that disagrees
- * with a fresh recompute. No-op when no index is materialized.
- */
-void verifyDefUse(const Component &comp);
 
 } // namespace calyx
 
@@ -157,11 +119,12 @@ struct RegAccess
  * Only `std_reg` cells participate; memories and other stateful cells
  * are never shared by the register-sharing pass.
  *
- * This is the batch path over the DefUse index: instead of scanning
- * every assignment of every group, it visits only the recorded use
- * sites of register cells.
+ * This is the batch path over `du`, the component's DefUse index:
+ * instead of scanning every assignment of every group, it visits only
+ * the recorded use sites of register cells.
  */
-std::map<Symbol, RegAccess> registerAccess(const Component &comp);
+std::map<Symbol, RegAccess> registerAccess(const Component &comp,
+                                           const DefUse &du);
 
 /** Names of all std_reg cells in the component. */
 std::set<Symbol> registerCells(const Component &comp);
@@ -169,9 +132,10 @@ std::set<Symbol> registerCells(const Component &comp);
 /**
  * Registers that must be treated as live everywhere: referenced by
  * continuous assignments, by control condition ports, or carrying the
- * "external" attribute.
+ * "external" attribute. `du` is the component's DefUse index.
  */
-std::set<Symbol> alwaysLiveRegisters(const Component &comp);
+std::set<Symbol> alwaysLiveRegisters(const Component &comp,
+                                     const DefUse &du);
 
 } // namespace calyx::analysis
 

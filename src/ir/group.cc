@@ -1,7 +1,5 @@
 #include "ir/group.h"
 
-#include "ir/component.h"
-
 namespace calyx {
 
 Symbol
@@ -32,24 +30,6 @@ Assignment::str() const
     if (guard->isTrue())
         return dst.str() + " = " + src.str() + ";";
     return dst.str() + " = " + guard->str() + " ? " + src.str() + ";";
-}
-
-void
-Group::add(Assignment a)
-{
-    assigns.push_back(std::move(a));
-    if (owner) {
-        owner->noteGroupAssign(nameVal,
-                               static_cast<uint32_t>(assigns.size() - 1),
-                               assigns.back());
-    }
-}
-
-void
-Group::touch()
-{
-    if (owner)
-        owner->invalidateDefUse();
 }
 
 PortRef

@@ -11,8 +11,6 @@
 
 namespace calyx {
 
-class Component;
-
 /**
  * A guarded, non-blocking assignment `dst = guard ? src` (paper §3.2).
  * `src` is a port or constant; all computation happens inside cells.
@@ -39,11 +37,6 @@ struct Assignment
  * A group: a named set of assignments encapsulating one action
  * (paper §3.3). Groups expose `go`/`done` interface holes; writes to
  * `name[done]` signal completion.
- *
- * Groups created through Component::addGroup know their owner: adding
- * assignments through add() keeps the owner's DefUse index current,
- * while grabbing the mutable assignment vector conservatively
- * invalidates it (see docs/ir.md, "DefUse maintenance contract").
  */
 class Group
 {
@@ -55,21 +48,11 @@ class Group
     /** Dense index of this group within its component. */
     uint32_t id() const { return idVal; }
 
-    /**
-     * Mutable access to the assignment vector. The IR cannot see what
-     * the caller does with it, so the owning component's DefUse index
-     * (if materialized) is invalidated.
-     */
-    std::vector<Assignment> &
-    assignments()
-    {
-        touch();
-        return assigns;
-    }
+    std::vector<Assignment> &assignments() { return assigns; }
     const std::vector<Assignment> &assignments() const { return assigns; }
 
-    /** Append an assignment (DefUse-maintaining). */
-    void add(Assignment a);
+    /** Append an assignment. */
+    void add(Assignment a) { assigns.push_back(std::move(a)); }
 
     /** Shorthand: add `dst = src`. */
     void
@@ -103,14 +86,10 @@ class Group
     const Attributes &attrs() const { return attributes; }
 
   private:
-    friend class Component; // sets owner/idVal, renames
-
-    /** Invalidate the owner's DefUse index (mutation escape hatch). */
-    void touch();
+    friend class Component; // sets idVal
 
     Symbol nameVal;
     uint32_t idVal = 0;
-    Component *owner = nullptr;
     std::vector<Assignment> assigns;
     Attributes attributes;
 };

@@ -202,6 +202,21 @@ class ProgramParser
 
   private:
     Lexer lex;
+    int depth = 0; ///< Nesting levels open (see Parser::kMaxNesting).
+
+    /** One level of nesting, held while its recursive call runs. */
+    struct Nest
+    {
+        explicit Nest(ProgramParser &p) : p(p)
+        {
+            if (++p.depth > Parser::kMaxNesting)
+                p.lex.error("nesting deeper than " +
+                            std::to_string(Parser::kMaxNesting) +
+                            " levels");
+        }
+        ~Nest() { --p.depth; }
+        ProgramParser &p;
+    };
 
     bool
     isIdent(const std::string &word) const
@@ -540,10 +555,12 @@ class ProgramParser
     {
         if (isSymbol("!")) {
             lex.next();
+            Nest nest(*this);
             return Guard::negate(parseGuardCmp());
         }
         if (isSymbol("(")) {
             lex.next();
+            Nest nest(*this);
             GuardPtr g = parseGuardOr();
             expectSymbol(")");
             return g;
@@ -633,6 +650,7 @@ class ProgramParser
     ControlPtr
     parseControl()
     {
+        Nest nest(*this);
         if (isIdent("seq") || isIdent("par")) {
             bool is_seq = lex.next().text == "seq";
             Attributes attrs = attributes();

@@ -15,6 +15,14 @@ namespace calyx {
 class Parser
 {
   public:
+    /**
+     * Deepest nesting the parser accepts, counting each control
+     * statement inside its parent and each `!` or parenthesis of a
+     * guard. The parser recurses once per level, so deeper input is an
+     * Error rather than a stack overflow.
+     */
+    static constexpr int kMaxNesting = 256;
+
     /** Parse a whole program. Throws Error with line info on bad input. */
     static Context parseProgram(const std::string &source);
 };

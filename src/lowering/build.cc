@@ -200,8 +200,7 @@ FsmBuilder::buildCond(FsmState &state, Symbol cond_group)
         // The port is continuously driven; it is valid right away.
         return Guard::trueGuard();
     }
-    // Const access keeps a materialized DefUse index alive.
-    const Group &cond = std::as_const(comp).group(cond_group);
+    const Group &cond = comp.group(cond_group);
     if (isCombGroup(cond)) {
         // Inline the combinational condition into the evaluation state;
         // it completes in the same cycle. GoInsertion already gated

@@ -25,10 +25,7 @@ class Realizer
     {
         Group &g = comp.addGroup(m.name());
         group = &g;
-        // Gate at creation time (instead of a gateGroup sweep after the
-        // fact) so the component's DefUse index stays incrementally
-        // maintained: Group::add records sites, raw mutation would
-        // invalidate. The done write stays ungated as always.
+        // Every assignment but the done write is gated as it is added.
         if (opts.gate)
             goGate = Guard::fromPort(g.goHole());
 

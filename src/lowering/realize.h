@@ -41,10 +41,6 @@ struct RealizeOptions
  * state so the machine re-runs inside loops (the parent deasserts go
  * during the done cycle, so a gated reset would never fire).
  *
- * All structure is created through the DefUse-maintaining mutators
- * (Group::add, Component::addCell/addContinuous), so a materialized
- * def-use index stays incrementally correct through lowering.
- *
  * Fills the machine's realization record (group, register cell,
  * encoding actually used) and returns the realizing group's name.
  */

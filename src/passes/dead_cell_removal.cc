@@ -14,7 +14,7 @@ DeadCellRemoval::runOnComponent(Component &comp, Context &ctx)
     // The DefUse index already knows every assignment, guard, and
     // control site naming each cell; a cell is live iff it has any
     // cell-kind use (hole-kind uses belong to the group namespace).
-    const DefUse &du = comp.defUse();
+    DefUse du = DefUse::compute(comp);
     auto used = [&du](Symbol cell) {
         const DefUse::Uses *uses = du.find(cell);
         if (!uses)

@@ -4,7 +4,6 @@
 
 #include <map>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "analysis/coloring.h"
@@ -22,12 +21,11 @@ RegisterSharing::runOnComponent(Component &comp, Context &)
     std::set<Symbol> regs = analysis::registerCells(comp);
     if (regs.size() < 2)
         return;
-    std::set<Symbol> always_live = analysis::alwaysLiveRegisters(comp);
+    DefUse du = DefUse::compute(comp);
+    std::set<Symbol> always_live = analysis::alwaysLiveRegisters(comp, du);
 
-    auto access = analysis::registerAccess(comp);
-    // const access: building the pCFG must not drop the DefUse index
-    // registerAccess just populated.
-    auto pcfg = analysis::buildPcfg(std::as_const(comp).control());
+    auto access = analysis::registerAccess(comp, du);
+    auto pcfg = analysis::buildPcfg(comp.control());
     analysis::Liveness liveness(*pcfg, access, always_live);
 
     // Candidates: registers not live everywhere, bucketed by width.

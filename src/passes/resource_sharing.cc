@@ -6,7 +6,6 @@
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
-#include <utility>
 
 #include "analysis/coloring.h"
 #include "analysis/schedule.h"
@@ -94,10 +93,9 @@ ResourceSharing::runOnComponent(Component &comp, Context &ctx)
     // Which groups use which shareable cells.
     std::unordered_map<Symbol, std::set<Symbol>> cells_of_group;
     std::set<Symbol> in_continuous;
-    const Component &ccomp = comp; // reads must not invalidate DefUse
-    for (const auto &group : ccomp.groups()) {
+    for (const auto &group : comp.groups()) {
         auto &used = cells_of_group[group->name()];
-        for (const auto &a : std::as_const(*group).assignments()) {
+        for (const auto &a : group->assignments()) {
             auto mark = [&](const PortRef &p) {
                 if (p.isCell() && shareable.count(p.parent))
                     used.insert(p.parent);
@@ -106,7 +104,7 @@ ResourceSharing::runOnComponent(Component &comp, Context &ctx)
             a.reads(mark);
         }
     }
-    for (const auto &a : ccomp.continuousAssignments()) {
+    for (const auto &a : comp.continuousAssignments()) {
         auto mark = [&](const PortRef &p) {
             if (p.isCell() && shareable.count(p.parent))
                 in_continuous.insert(p.parent);
@@ -116,7 +114,7 @@ ResourceSharing::runOnComponent(Component &comp, Context &ctx)
     }
     // Cells referenced by if/while condition ports behave like continuous
     // uses of the enclosing cond group; attribute them to that group.
-    ccomp.control().walk([&](const Control &node) {
+    comp.control().walk([&](const Control &node) {
         const PortRef *port = nullptr;
         Symbol cond;
         if (node.kind() == Control::Kind::If) {
@@ -137,7 +135,7 @@ ResourceSharing::runOnComponent(Component &comp, Context &ctx)
     // Step 1: group conflict graph from the execution schedule, as
     // hashed id-pair keys (O(1) insert/lookup).
     std::unordered_set<uint64_t> group_conflicts =
-        analysis::parallelConflictKeys(ccomp.control());
+        analysis::parallelConflictKeys(comp.control());
 
     // Cell-level conflicts, same representation.
     std::unordered_set<uint64_t> cell_conflicts;

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <utility>
 #include <vector>
 
 #include "ir/defuse.h"
@@ -202,7 +201,7 @@ controlKindName(Control::Kind kind)
 void
 checkDanglingRefs(const Component &comp)
 {
-    const DefUse &du = comp.defUse();
+    DefUse du = DefUse::compute(comp);
     std::vector<std::string> problems;
 
     // A dangling name is often a typo for a live one; suggest it.
@@ -278,16 +277,11 @@ checkDanglingRefs(const Component &comp)
 void
 WellFormed::runOnComponent(Component &comp, Context &)
 {
-    const Component &c = comp;
-    // A maintained DefUse index must agree with a fresh recompute
-    // before the dangling sweep (or any pass) trusts it.
-    verifyDefUse(c);
-    checkDanglingRefs(c);
-    for (const auto &g : c.groups())
-        checkAssignments(c, std::as_const(*g).assignments(),
-                         "group " + g->name());
-    checkAssignments(c, c.continuousAssignments(), "wires");
-    checkControl(c, c.control());
+    checkDanglingRefs(comp);
+    for (const auto &g : comp.groups())
+        checkAssignments(comp, g->assignments(), "group " + g->name());
+    checkAssignments(comp, comp.continuousAssignments(), "wires");
+    checkControl(comp, comp.control());
 }
 
 namespace {

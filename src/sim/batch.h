@@ -56,11 +56,11 @@ struct BatchOptions
      * module; a longer one runs as one padded laneTile-wide tile whose
      * dead lanes are discarded. A resident runner therefore loads at
      * most two modules whatever the request shapes. Per stimulus, the
-     * scalar module beats a 16-lane tile pass up to a remainder of 20
-     * (systolic 16x16), 10 (eight PolyBench kernels) and 9 (the same,
-     * unrolled): 4.0 ms scalar against 80 ms per tile, 36.8 against
-     * 370, 44.6 against 405, on a 4-vCPU x86-64 host. laneTile/2 stays
-     * below each. The levelized engine narrows the last tile to what is
+     * scalar module beats a 16-lane tile pass up to a remainder of 17.7
+     * (systolic 16x16), 8.9 (eight PolyBench kernels) and 11.9 (the
+     * same, unrolled): 5.8 ms scalar against 103 ms per tile, 45.2
+     * against 403, 46.5 against 552, on a 4-vCPU x86-64 host (Release,
+     * one thread, batch 64). laneTile/2 stays below each. The levelized engine narrows the last tile to what is
      * left instead (its interpreter cost is linear in live lanes, so
      * padding only wastes work).
      */

@@ -351,10 +351,14 @@ class JsonParser
     {
         skipWs();
         char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (++depth > kMaxDepth)
+                err("nesting deeper than " + std::to_string(kMaxDepth) +
+                    " levels");
+            Value v = c == '{' ? parseObject() : parseArray();
+            --depth;
+            return v;
+        }
         if (c == '"')
             return Value::str(parseString());
         if ((c >= '0' && c <= '9') || c == '-')
@@ -532,6 +536,7 @@ class JsonParser
 
     const std::string &text;
     size_t pos = 0;
+    size_t depth = 0; ///< Arrays and objects open at `pos`.
 };
 
 } // namespace

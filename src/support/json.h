@@ -1,6 +1,7 @@
 #ifndef CALYX_SUPPORT_JSON_H
 #define CALYX_SUPPORT_JSON_H
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -73,10 +74,21 @@ class Value
 };
 
 /**
+ * Deepest nesting of arrays and objects that parse() accepts. The
+ * parser recurses once per level, so a deeper document is an Error
+ * rather than a stack overflow. A json-netlist nests one level per
+ * guard operator, and the deepest guard the benchmark workloads lower
+ * to has under 400. At this limit a sanitized build uses about half of
+ * an 8 MiB stack.
+ */
+constexpr size_t kMaxDepth = 2048;
+
+/**
  * Parse a JSON document. Throws Error with a line/column position on
- * malformed input. Plain unsigned integers parse as Num (preserving
- * full 64-bit precision for the netlist format); numbers with a sign,
- * fraction, or exponent parse as Real.
+ * malformed input, including nesting deeper than kMaxDepth. Plain
+ * unsigned integers parse as Num (preserving full 64-bit precision for
+ * the netlist format); numbers with a sign, fraction, or exponent parse
+ * as Real.
  */
 Value parse(const std::string &text);
 

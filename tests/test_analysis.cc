@@ -129,7 +129,8 @@ TEST(ReadWriteSets, MustAndMayWrites)
     g.add(cellPort("y", "write_en"), constant(1, 1), f);
     g.add(g.doneHole(), cellPort("x", "done"));
 
-    auto access = an::registerAccess(ctx.component("main"));
+    const Component &main = ctx.component("main");
+    auto access = an::registerAccess(main, DefUse::compute(main));
     const auto &acc = access.at("g");
     EXPECT_TRUE(acc.mustWrites.count("x"));
     EXPECT_FALSE(acc.mustWrites.count("y"));
@@ -248,7 +249,7 @@ TEST(AlwaysLive, ControlAndContinuousUses)
         cellPort("flag", "out"), "cond",
         ComponentBuilder::enable("body")));
 
-    auto always = an::alwaysLiveRegisters(main);
+    auto always = an::alwaysLiveRegisters(main, DefUse::compute(main));
     EXPECT_TRUE(always.count("flag"));
     EXPECT_TRUE(always.count("ext"));
     EXPECT_FALSE(always.count("other"));

@@ -329,6 +329,44 @@ for (let p: ubit<3> = 0..4) unroll 2 {
     EXPECT_THROW(dahlia::lower(p), Error);
 }
 
+TEST(DahliaEdge, NestingDeeperThanTheLimitIsAnError)
+{
+    // The parser recurses once per parenthesis and block: past
+    // dahlia::kMaxNesting that is an Error, not a stack overflow.
+    auto let = [](const std::string &init) {
+        return "decl o: ubit<32>[1];\nlet x: ubit<32> = " + init +
+               ";\n---\no[0] := x;\n";
+    };
+    auto parens = [](int n) {
+        return std::string(n, '(') + "1" + std::string(n, ')');
+    };
+    auto blocks = [](int n) {
+        std::string s;
+        for (int i = 0; i < n; ++i)
+            s += "{ ";
+        s += "let y: ubit<8> = 1;";
+        for (int i = 0; i < n; ++i)
+            s += " }";
+        return s;
+    };
+    for (const std::string &bad :
+         {let(parens(100000)), let(parens(dahlia::kMaxNesting + 1)),
+          blocks(dahlia::kMaxNesting + 1)}) {
+        try {
+            dahlia::parse(bad);
+            ADD_FAILURE() << "parsed: " << bad.substr(0, 120);
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The deepest accepted input still fits the stack (the sanitizer
+    // job runs this too, with its larger frames).
+    dahlia::parse(let(parens(dahlia::kMaxNesting)));
+    dahlia::parse(blocks(dahlia::kMaxNesting));
+}
+
 TEST(DahliaEdge, AllPassesOnBankedKernel)
 {
     const std::string spec = "all";

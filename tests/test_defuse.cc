@@ -2,25 +2,9 @@
 
 #include "ir/builder.h"
 #include "ir/defuse.h"
-#include "support/error.h"
 
 namespace calyx {
 namespace {
-
-/** Maintained index must match a fresh recompute; returns the reason
- * when it does not. */
-testing::AssertionResult
-indexInSync(const Component &comp)
-{
-    const DefUse *maintained = comp.maintainedDefUse();
-    if (!maintained)
-        return testing::AssertionFailure() << "no maintained index";
-    std::string why;
-    DefUse fresh = DefUse::compute(comp);
-    if (!maintained->equivalent(fresh, &why))
-        return testing::AssertionFailure() << why;
-    return testing::AssertionSuccess();
-}
 
 Context
 baseProgram()
@@ -43,8 +27,7 @@ baseProgram()
 TEST(DefUse, ComputeFindsAssignGuardAndControlUses)
 {
     Context ctx = baseProgram();
-    const Component &main = ctx.main();
-    const DefUse &du = main.defUse();
+    DefUse du = DefUse::compute(ctx.main());
 
     const DefUse::Uses *r0 = du.find(Symbol("r0"));
     ASSERT_NE(r0, nullptr);
@@ -68,33 +51,46 @@ TEST(DefUse, GuardUsesAreTracked)
     Group &g = main.group("upd");
     g.add(cellPort("r1", "in"), constant(7, 8),
           Guard::fromPort(cellPort("r0", "done")));
-    const DefUse::Uses *r0 = main.defUse().find(Symbol("r0"));
+    DefUse du = DefUse::compute(main);
+    const DefUse::Uses *r0 = du.find(Symbol("r0"));
     ASSERT_NE(r0, nullptr);
     EXPECT_TRUE(r0->anyAssign(DefUse::kGuardCell));
 }
 
-TEST(DefUse, IncrementalAddStaysInSync)
+TEST(DefUse, ComputeSeesAddedSites)
 {
     Context ctx = baseProgram();
     Component &main = ctx.main();
-    main.defUse(); // materialize
+    EXPECT_EQ(DefUse::compute(main).find(Symbol("r1")), nullptr);
 
-    // Group::add on an owned group maintains the index.
     Group &g = main.group("upd");
     g.add(cellPort("r1", "in"), cellPort("r0", "out"));
-    g.add(cellPort("r1", "write_en"), constant(1, 1));
-    EXPECT_TRUE(indexInSync(main));
-
-    // addContinuous maintains too.
     main.addContinuous(
-        Assignment(thisPort("done"), cellPort("r0", "done")));
-    EXPECT_TRUE(indexInSync(main));
-
-    // A brand-new group filled through add().
+        Assignment(thisPort("done"), cellPort("r1", "done")));
     Group &g2 = main.addGroup("fresh");
     g2.add(cellPort("r1", "write_en"), constant(1, 1));
     g2.add(g2.doneHole(), cellPort("r1", "done"));
-    EXPECT_TRUE(indexInSync(main));
+
+    DefUse du = DefUse::compute(main);
+    const DefUse::Uses *r1 = du.find(Symbol("r1"));
+    ASSERT_NE(r1, nullptr);
+    ASSERT_EQ(r1->assigns.size(), 4u);
+    auto has_site = [r1](Symbol group, uint32_t index, uint8_t roles) {
+        for (const auto &site : r1->assigns) {
+            if (site.group == group && site.index == index &&
+                site.roles == roles)
+                return true;
+        }
+        return false;
+    };
+    EXPECT_TRUE(has_site(Symbol("upd"), 5, DefUse::kDstCell));
+    EXPECT_TRUE(has_site(Symbol(), 0, DefUse::kSrcCell));
+    EXPECT_TRUE(has_site(Symbol("fresh"), 0, DefUse::kDstCell));
+    EXPECT_TRUE(has_site(Symbol("fresh"), 1, DefUse::kSrcCell));
+    const DefUse::Uses *fresh = du.find(Symbol("fresh"));
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_TRUE(fresh->anyAssign(DefUse::kDstHole));
+    EXPECT_TRUE(fresh->control.empty()); // Defined, never enabled.
 }
 
 TEST(DefUse, RemoveGroupDropsItsSitesKeepsDanglingUses)
@@ -105,69 +101,41 @@ TEST(DefUse, RemoveGroupDropsItsSitesKeepsDanglingUses)
     g2.add(cellPort("r1", "in"), constant(3, 8));
     g2.add(cellPort("r1", "write_en"), constant(1, 1));
     g2.add(g2.doneHole(), cellPort("r1", "done"));
-    main.defUse(); // materialize
+    EXPECT_NE(DefUse::compute(main).find(Symbol("r1")), nullptr);
 
     main.removeGroup("aux");
-    EXPECT_TRUE(indexInSync(main));
     // r1 was only referenced inside aux: no surviving uses.
-    EXPECT_EQ(main.defUse().find(Symbol("r1")), nullptr);
+    EXPECT_EQ(DefUse::compute(main).find(Symbol("r1")), nullptr);
 
     // Removing a group that is still enabled keeps the control use —
     // that is exactly what the WellFormed dangling check reports.
     main.removeGroup("upd");
-    EXPECT_TRUE(indexInSync(main));
-    const DefUse::Uses *upd = main.defUse().find(Symbol("upd"));
+    DefUse du = DefUse::compute(main);
+    const DefUse::Uses *upd = du.find(Symbol("upd"));
     ASSERT_NE(upd, nullptr);
     EXPECT_TRUE(upd->assigns.empty());
     ASSERT_EQ(upd->control.size(), 1u);
     EXPECT_TRUE(upd->control[0].asGroup);
 }
 
-TEST(DefUse, RemoveAndRenameCellKeepIndexValid)
+TEST(DefUse, RemovedAndRenamedCellsKeepTheirUses)
 {
     Context ctx = baseProgram();
     Component &main = ctx.main();
-    main.defUse();
 
-    // Cells define no use sites, so removal must not disturb the index.
+    // r1 has no uses; removing it leaves every other use in place.
     main.removeCell("r1");
-    EXPECT_TRUE(indexInSync(main));
+    EXPECT_NE(DefUse::compute(main).find(Symbol("r0")), nullptr);
 
     // renameCell moves the definition; uses keep naming the old symbol
     // until a pass rewrites them (and stay indexed under it).
     main.renameCell("add0", "adder");
-    EXPECT_TRUE(indexInSync(main));
-    EXPECT_NE(main.defUse().find(Symbol("add0")), nullptr);
+    DefUse du = DefUse::compute(main);
+    EXPECT_NE(du.find(Symbol("add0")), nullptr);
+    EXPECT_EQ(du.find(Symbol("adder")), nullptr);
     EXPECT_EQ(main.findCell("add0"), nullptr);
     EXPECT_NE(main.findCell("adder"), nullptr);
     EXPECT_EQ(main.cell("adder").name(), "adder");
-}
-
-TEST(DefUse, RawMutationInvalidatesInsteadOfLying)
-{
-    Context ctx = baseProgram();
-    Component &main = ctx.main();
-    main.defUse();
-    ASSERT_NE(main.maintainedDefUse(), nullptr);
-
-    // Grabbing the mutable assignment vector conservatively drops the
-    // cache; the next defUse() recomputes.
-    main.group("upd").assignments().clear();
-    EXPECT_EQ(main.maintainedDefUse(), nullptr);
-    EXPECT_EQ(main.defUse().find(Symbol("add0")), nullptr);
-}
-
-TEST(DefUse, ControlMutatorsInvalidate)
-{
-    Context ctx = baseProgram();
-    Component &main = ctx.main();
-    main.defUse();
-    ASSERT_NE(main.maintainedDefUse(), nullptr);
-    main.setControl(std::make_unique<Empty>());
-    EXPECT_EQ(main.maintainedDefUse(), nullptr);
-    const DefUse::Uses *upd = main.defUse().find(Symbol("upd"));
-    ASSERT_NE(upd, nullptr);
-    EXPECT_TRUE(upd->control.empty()); // enable is gone
 }
 
 TEST(DefUse, DenseIdsTrackPositionsAcrossRemoval)
@@ -202,26 +170,6 @@ TEST(DefUse, UniqueNameStaysFreshAndCheap)
     EXPECT_FALSE(minted.count(Symbol("fsm0")));
 }
 
-TEST(DefUse, VerifyDefUseNamesComponentOnCorruption)
-{
-    Context ctx = baseProgram();
-    Component &main = ctx.main();
-    main.defUse();
-    // Forge divergence: mutate through a path the index cannot see.
-    // (const_cast stands in for a buggy pass writing around the API.)
-    auto &assigns = const_cast<std::vector<Assignment> &>(
-        std::as_const(main).group("upd").assignments());
-    ASSERT_NE(main.maintainedDefUse(), nullptr); // const access kept it
-    assigns.pop_back();
-    try {
-        verifyDefUse(main);
-        FAIL() << "expected verifyDefUse to throw";
-    } catch (const Error &e) {
-        EXPECT_NE(std::string(e.what()).find("main"), std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("DefUse"), std::string::npos);
-    }
-}
-
 TEST(DefUse, RegisterAccessMatchesDirectScan)
 {
     // The batch path over the index must agree with first principles on
@@ -239,7 +187,8 @@ TEST(DefUse, RegisterAccessMatchesDirectScan)
     g.add(cellPort("y", "write_en"), constant(1, 1), f);
     g.add(g.doneHole(), cellPort("x", "done"));
 
-    auto access = analysis::registerAccess(ctx.main());
+    auto access =
+        analysis::registerAccess(ctx.main(), DefUse::compute(ctx.main()));
     const auto &acc = access.at(Symbol("g"));
     EXPECT_TRUE(acc.mustWrites.count(Symbol("x")));
     EXPECT_FALSE(acc.mustWrites.count(Symbol("y")));

@@ -17,7 +17,6 @@
 #include "frontends/dahlia/parser.h"
 #include "frontends/systolic/systolic.h"
 #include "helpers.h"
-#include "ir/defuse.h"
 #include "ir/fsm.h"
 #include "lowering/lower.h"
 #include "support/error.h"
@@ -290,27 +289,6 @@ TEST(FsmRealize, OneHotFallsBackToBinaryPastWidthLimit)
     sim::CycleSim cs(sp);
     cs.run();
     EXPECT_EQ(*sp.findModel("x")->registerValue(), 69u);
-}
-
-TEST(FsmRealize, DefUseStaysMaintainedThroughLowering)
-{
-    // Satellite: lowering goes through the DefUse-maintaining mutators,
-    // so a materialized index must survive build+realize intact.
-    Context ctx = seq3Program();
-    passes::runPipeline(
-        ctx, "well-formed,collapse-control,infer-latency,go-insertion");
-    Component &main = ctx.component("main");
-    (void)main.defUse(); // materialize
-    std::set<Symbol> inlined;
-    lowering::LowerOptions opts;
-    // Const access: non-const control() would invalidate the index by
-    // contract before lowering even starts.
-    const Control &ctrl = std::as_const(main).control();
-    Symbol top = lowering::lowerControl(main, ctx, ctrl, opts, inlined);
-    EXPECT_FALSE(top.empty());
-    ASSERT_NE(main.maintainedDefUse(), nullptr)
-        << "lowering invalidated the def-use index";
-    verifyDefUse(main); // fatal()s on divergence
 }
 
 // --- Acceptance: register counts ---------------------------------------

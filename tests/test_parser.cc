@@ -153,6 +153,53 @@ component main() -> () {
          }) {
         EXPECT_THROW(Parser::parseProgram(bad), Error) << bad;
     }
+
+    // Nesting past Parser::kMaxNesting is an Error, not a stack
+    // overflow: parentheses around one guard port, negations, and
+    // control blocks.
+    auto program = [](const std::string &guard, const std::string &ctrl) {
+        return "component main() -> () { cells { r = std_reg(1); } "
+               "wires { group g { r.in = " + guard + " ? 1'd1; "
+               "r.write_en = 1'd1; g[done] = r.done; } } control { " +
+               ctrl + " } }";
+    };
+    auto parens = [](int n) {
+        return std::string(n, '(') + "r.out" + std::string(n, ')');
+    };
+    auto seqs = [](int n) {
+        std::string s;
+        for (int i = 0; i < n; ++i)
+            s += "seq { ";
+        s += "g;";
+        for (int i = 0; i < n; ++i)
+            s += " }";
+        return s;
+    };
+    for (const std::string &bad : {
+             program(parens(20000), "g;"),
+             program(std::string(200000, '!') + "r.out", "g;"),
+             program("r.out", seqs(50000)),
+             program(parens(Parser::kMaxNesting + 1), "g;"),
+             program(std::string(Parser::kMaxNesting + 1, '!') + "r.out",
+                     "g;"),
+             // The enable inside the innermost seq is one level too.
+             program("r.out", seqs(Parser::kMaxNesting)),
+         }) {
+        try {
+            Parser::parseProgram(bad);
+            ADD_FAILURE() << "parsed: " << bad.substr(0, 120);
+        } catch (const Error &e) {
+            EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The deepest accepted input still fits the stack (the sanitizer
+    // job runs this too, with its larger frames).
+    Parser::parseProgram(program(parens(Parser::kMaxNesting), "g;"));
+    Parser::parseProgram(
+        program(std::string(Parser::kMaxNesting, '!') + "r.out", "g;"));
+    Parser::parseProgram(program("r.out", seqs(Parser::kMaxNesting - 1)));
 }
 
 TEST(Parser, RoundTripThroughPrinter)

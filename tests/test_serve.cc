@@ -263,6 +263,31 @@ TEST(Serve, BrokenFramingEndsSessionWithError)
               std::string::npos);
 }
 
+TEST(Serve, TooDeepRequestIsABadRequest)
+{
+    // A well-framed payload of 100,000 nested arrays: the JSON parser
+    // refuses it at its depth limit instead of overflowing the stack,
+    // so the session answers an error and keeps serving.
+    Context ctx = loweredLoop();
+    sim::SimProgram sp(ctx, ctx.entrypoint());
+    std::istringstream in(
+        frame(std::string(100000, '[') + std::string(100000, ']')) +
+        frame("{\"type\": \"ping\"}"));
+    std::ostringstream out;
+    serve::ServeOptions opts;
+    opts.engine = sim::Engine::Levelized;
+    serve::ServeStats st = serve::serve(sp, in, out, opts);
+    EXPECT_EQ(st.requests, 2u);
+    EXPECT_EQ(st.errors, 1u);
+    auto docs = responses(out.str());
+    ASSERT_EQ(docs.size(), 2u);
+    EXPECT_FALSE(docs[0].at("ok").asBool());
+    EXPECT_NE(docs[0].at("error").asStr().find("nesting deeper than"),
+              std::string::npos);
+    EXPECT_TRUE(docs[1].at("ok").asBool());
+    EXPECT_EQ(docs[1].at("result").asStr(), "pong");
+}
+
 /** The acceptance gate: 100+ stimulus-batch requests against one
  * resident compiled module, no recompilation, cache hit asserted. */
 TEST(Serve, SustainsHundredRequestsOnResidentCompiledModule)

@@ -162,6 +162,36 @@ TEST(Json, ParseErrors)
     EXPECT_DOUBLE_EQ(json::parse("-3").asReal(), -3.0);
 }
 
+/** `n` nested arrays around nothing: `[[...]]`. */
+std::string
+nestedArrays(size_t n)
+{
+    return std::string(n, '[') + std::string(n, ']');
+}
+
+TEST(Json, NestingDeeperThanTheLimitIsAnError)
+{
+    // The parser recurses once per level. The deepest document it
+    // accepts must still fit the stack (the sanitizer job runs this
+    // with its larger frames), and one level more is an Error.
+    EXPECT_EQ(json::parse(nestedArrays(json::kMaxDepth)).items().size(),
+              1u);
+    EXPECT_THROW(json::parse(nestedArrays(json::kMaxDepth + 1)), Error);
+    std::string objects;
+    for (size_t i = 0; i <= json::kMaxDepth; ++i)
+        objects += "{\"a\": ";
+    objects += "1" + std::string(json::kMaxDepth + 1, '}');
+    EXPECT_THROW(json::parse(objects), Error);
+    try {
+        json::parse(nestedArrays(100000));
+        FAIL() << "100,000 nested arrays parsed";
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Json, ObjectsPreserveInsertionOrder)
 {
     json::Value obj = json::Value::object();
