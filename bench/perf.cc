@@ -304,6 +304,16 @@ batchRow(sim::Engine e, uint32_t batch, unsigned threads)
            (threads == 1 ? " thread" : " threads");
 }
 
+/** A batch row of >= 2 tiles at every usable CPU: the rows the
+ * "never slower than one thread" gates compare with one thread. */
+struct SpreadRow
+{
+    std::string workload;
+    sim::Engine engine;
+    uint32_t batch;
+};
+std::vector<SpreadRow> spreadRows;
+
 /** A do-nothing observer: the cost of leaving a probe attached. */
 struct NoopObserver : obs::SimObserver
 {
@@ -379,7 +389,13 @@ simWorkload(const std::string &name, std::shared_ptr<SimDesign> d,
                 auto batch =
                     std::make_shared<std::vector<sim::Stimulus>>(b, d->stim);
                 std::string row = batchRow(e, b, threads);
+                const sim::BatchRunner::TileCounts &tc =
+                    runner->tileCounts();
+                uint64_t tilesBefore = tc.scalarTiles + tc.laneTiles;
                 std::vector<sim::LaneResult> lanes = runner->run(*batch);
+                if (threads > 1 &&
+                    tc.scalarTiles + tc.laneTiles - tilesBefore >= 2)
+                    spreadRows.push_back({name, e, b});
                 for (size_t l = 0; l < lanes.size(); ++l)
                     check(row, lanes[l], "lane " + std::to_string(l) + " ");
                 w.timed(row, "stimuli/s", b, [runner, batch] {
@@ -447,6 +463,22 @@ simRows()
         return median("systolic_8x8", batchRow(lev, 64, usable)) >=
                2 * median("systolic_8x8", batchRow(lev, 64, 1));
     }, usable < 2 ? "1 usable CPU" : "");
+    // The default thread count never loses to one thread (ROADMAP 3.2).
+    // Batch-1 rows run one tile of the same serial code either way.
+    if (usable < 2) {
+        gate("sim", "every batch of >= 2 tiles on every usable CPU >= 1 "
+                    "thread", nullptr, "1 usable CPU");
+    }
+    for (const SpreadRow &r : spreadRows) {
+        gate("sim", r.workload + ": " + sim::engineName(r.engine) +
+                        " batch " + std::to_string(r.batch) +
+                        " on every usable CPU >= 1 thread",
+             [&] {
+                 return median(r.workload,
+                               batchRow(r.engine, r.batch, usable)) >=
+                        median(r.workload, batchRow(r.engine, r.batch, 1));
+             });
+    }
 }
 
 // --- Compile --------------------------------------------------------------

@@ -5,9 +5,11 @@
 # module from the on-disk cache — no new files may appear in the cache
 # directory, proving the content-addressed digest is stable and the JIT
 # is skipped — (3) a third, traced run (`--trace`) keeps the cycle
-# counts and adds no files either: observers read the same module — and
-# (4) concurrent cold builds of one module all succeed: 8 processes per
-# round, 10 rounds, each round on a fresh cache and pinned to one CPU.
+# counts and adds no files either: observers read the same module — (4)
+# `--batch 64` at the default thread count prints the cycles
+# `--threads 1` prints and reports `nproc` threads, and (5) concurrent
+# cold builds of one module all succeed: 8 processes per round, 10
+# rounds, each round on a fresh cache and pinned to one CPU.
 #
 # Skips (exit 0) when no host C++ compiler is available, since the
 # compiled engine is an optional acceleration, not a requirement.
@@ -112,7 +114,28 @@ else
     echo "ok   traced run added no files ($traced in $cache)"
 fi
 
-# Fourth pass: concurrent cold builds of one digest. Each process
+# Fourth pass: batched. The default spreads tiles over every usable CPU
+# (or runs a short batch on one); either way every lane retires as on
+# one thread.
+usable=$(nproc)
+for example in $examples; do
+    spread=$("$futil" --batch 64 "$example" 2>"$errlog")
+    serial=$("$futil" --batch 64 --threads 1 "$example" 2>>"$errlog")
+    cycles=$(echo "$spread" | sed -n 's/.*cycles: \([0-9.]*\),.*/\1/p')
+    ref=$(echo "$serial" | sed -n 's/.*cycles: \([0-9.]*\),.*/\1/p')
+    threads=$(echo "$spread" | sed -n 's/.*, \([0-9]*\) threads\{0,1\},.*/\1/p')
+    if [ -z "$cycles" ] || [ "$cycles" != "$ref" ] ||
+           [ "$threads" != "$usable" ]; then
+        echo "FAIL $example --batch 64: cycles $cycles (1 thread: $ref)," \
+             "threads $threads (nproc: $usable)" >&2
+        cat "$errlog" >&2
+        failures=$((failures + 1))
+    else
+        echo "ok   $example --batch 64 on $threads threads ($cycles cycles)"
+    fi
+done
+
+# Fifth pass: concurrent cold builds of one digest. Each process
 # builds from files of its own and publishes by rename, so none may
 # read another's partly written source or object. Pinning every
 # process of a round to one CPU (taskset, where present) interleaves
@@ -152,5 +175,5 @@ if [ $failures -ne 0 ]; then
     echo "compiled_smoke: $failures failure(s)" >&2
     exit 1
 fi
-echo "compiled_smoke: all examples ran compiled, cached and traced;" \
-    "concurrent cold builds succeeded"
+echo "compiled_smoke: all examples ran compiled, cached, traced and" \
+    "batched; concurrent cold builds succeeded"

@@ -6,6 +6,7 @@
 #include "serve/protocol.h"
 #include "sim/env.h"
 #include "support/error.h"
+#include "support/pool.h"
 #include "support/text.h"
 
 namespace calyx::serve {
@@ -37,6 +38,19 @@ statsJson(const ServeOptions &opts, const ServeStats &stats,
     s.set("scalar_tiles", json::Value::number(tc.scalarTiles));
     s.set("lane_tiles", json::Value::number(tc.laneTiles));
     s.set("padded_lanes", json::Value::number(tc.paddedLanes));
+    // The grain gate's inputs and choices: process-wide spread jobs
+    // and their wake latency, and this session's batches run serially
+    // although `threads` allowed more.
+    WorkPool::Counters pc = WorkPool::global().counters();
+    json::Value pj = json::Value::object();
+    pj.set("jobs", json::Value::number(pc.jobs));
+    pj.set("serial_batches", json::Value::number(runner.serialBatches()));
+    pj.set("wake_us_min", json::Value::real(pc.wakeMin * 1e6));
+    pj.set("wake_us_mean",
+           json::Value::real(pc.jobs ? pc.wakeTotal * 1e6 /
+                                           static_cast<double>(pc.jobs)
+                                     : 0));
+    s.set("pool", std::move(pj));
     // Compile-cache counters, mirroring the module_loads/
     // modules_from_cache proof for the simulation side: a warm stream
     // shows artifacts_from_cache/components_from_cache climbing while

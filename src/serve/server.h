@@ -18,10 +18,12 @@ namespace calyx::serve {
 struct ServeOptions
 {
     sim::Engine engine = sim::Engine::Compiled;
-    /// Worker threads for `run` requests: the tiles of one batch spread
-    /// over them (BatchOptions::threads). `compile` requests run their
-    /// passes on the serve thread.
-    unsigned threads = 1;
+    /// Most threads a `run` request spreads its tiles over: by default
+    /// the usable cores of the thread that builds these options. A cap
+    /// that the grain gate lowers for short batches
+    /// (BatchOptions::threads). `compile` requests run their passes on
+    /// the serve thread.
+    unsigned threads = WorkPool::defaultThreads();
     /// 0 keeps the BatchOptions default (widest compiled tile).
     uint32_t laneTile = 0;
     uint64_t maxCycles = 50'000'000;
@@ -49,8 +51,9 @@ struct ServeStats
  * scalar and lane-tile-wide JIT modules on first use — serves every
  * `run` request, so a stream of stimulus batches loads at most two
  * modules (the `stats` request reports module_loads/modules_from_cache
- * to prove it, and scalar_tiles/lane_tiles/padded_lanes to show the
- * tile shapes run), and one cache::CompileService answers `compile`
+ * to prove it, scalar_tiles/lane_tiles/padded_lanes to show the tile
+ * shapes run, and under "pool" the dispatch counters behind the grain
+ * gate's choices), and one cache::CompileService answers `compile`
  * requests (source + pipeline spec + backend in, emitted artifact out) with
  * content-addressed caching and incremental per-component reuse, so a
  * stream of mutated programs is served from memory (`stats` mirrors

@@ -1,14 +1,24 @@
 #include "sim/batch.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "sim/compiled.h"
 #include "sim/cycle_sim.h"
 #include "sim/models.h"
 #include "support/error.h"
 #include "support/pool.h"
+#include "support/time.h"
 
 namespace calyx::sim {
+
+namespace {
+
+/** A batch spreads when its estimated serial time exceeds this many
+ * times the pool's dispatch cost. */
+constexpr double kSpreadMargin = 4;
+
+} // namespace
 
 BatchRunner::BatchRunner(const SimProgram &program, const BatchOptions &o)
     : prog(&program), opts(o)
@@ -46,6 +56,9 @@ BatchRunner::BatchRunner(const SimProgram &program, const BatchOptions &o)
     // Build the schedule now, on the caller: tiles run on pool threads
     // and must only ever read it.
     prog->schedule();
+    // Spawn the workers here, where the thread count was chosen: a
+    // caller that later pins itself to one CPU keeps them on every CPU.
+    WorkPool::global().reserve(opts.threads);
 }
 
 BatchRunner::~BatchRunner() = default;
@@ -65,11 +78,25 @@ BatchRunner::moduleFor(uint32_t lanes)
     return mod;
 }
 
-void
-BatchRunner::countTiles(size_t tiles, uint32_t lanes, size_t stimuli)
+unsigned
+BatchRunner::participants(const std::vector<Tile> &tiles)
 {
-    (lanes == 1 ? tally.scalarTiles : tally.laneTiles) += tiles;
-    tally.paddedLanes += tiles * lanes - stimuli;
+    unsigned spread = static_cast<unsigned>(
+        std::min<size_t>(opts.threads, tiles.size()));
+    if (spread < 2)
+        return 1;
+    double serial = 0;
+    for (const Tile &t : tiles) {
+        auto it = tileSeconds.find(t.lanes);
+        if (it == tileSeconds.end())
+            return spread; // Not timed yet: spreading times it.
+        serial += it->second;
+    }
+    double dispatch = WorkPool::global().dispatchSeconds();
+    if (dispatch == 0 || serial > kSpreadMargin * dispatch)
+        return spread;
+    ++gatedSerial;
+    return 1;
 }
 
 std::vector<std::vector<uint64_t>>
@@ -254,8 +281,11 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
     if (batch.empty())
         return out;
     const size_t B = batch.size();
+    const bool compiled = opts.engine == Engine::Compiled;
 
-    if (opts.engine == Engine::Compiled) {
+    std::vector<Tile> tiles;
+    std::shared_ptr<CompiledModule> wide, scalar;
+    if (compiled) {
         // Tile shape follows the batch (see BatchOptions::laneTile):
         // full laneTile-wide tiles, then a remainder of at most half a
         // tile as one-lane tiles on the scalar module, or a longer one
@@ -266,36 +296,63 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
             ++wideTiles;
             scalarTiles = 0;
         }
-        countTiles(wideTiles, L, B - scalarTiles);
-        countTiles(scalarTiles, 1, scalarTiles);
+        for (size_t t = 0; t < wideTiles; ++t)
+            tiles.push_back({t * L, std::min<size_t>(L, B - t * L), L});
+        for (size_t s = B - scalarTiles; s < B; ++s)
+            tiles.push_back({s, 1, 1});
         // Load only the shapes this batch runs.
-        auto wide = wideTiles ? moduleFor(L) : nullptr;
-        auto scalar = scalarTiles ? moduleFor(1) : nullptr;
-        WorkPool::global().parallelFor(
-            wideTiles + scalarTiles, opts.threads, [&](size_t t) {
-                if (t < wideTiles) {
-                    size_t startIdx = t * L;
-                    size_t count = std::min<size_t>(L, B - startIdx);
-                    runCompiledTile(batch, startIdx, count, L, *wide, out);
-                } else {
-                    runCompiledTile(batch, B - scalarTiles + (t - wideTiles),
-                                    1, 1, *scalar, out);
-                }
-            });
+        wide = wideTiles ? moduleFor(L) : nullptr;
+        scalar = scalarTiles ? moduleFor(1) : nullptr;
     } else {
-        const uint32_t L =
-            static_cast<uint32_t>(std::min<size_t>(opts.laneTile, B));
-        const size_t nTiles = (B + L - 1) / L;
         // The last tile narrows to what is left: never padded.
-        countTiles(B / L, L, B / L * L);
-        if (B % L)
-            countTiles(1, B % L, B % L);
-        WorkPool::global().parallelFor(
-            nTiles, opts.threads, [&](size_t t) {
-                size_t startIdx = t * L;
-                size_t count = std::min<size_t>(L, B - startIdx);
-                runLevelizedTile(batch, startIdx, count, out);
-            });
+        for (size_t s = 0; s < B; s += opts.laneTile) {
+            size_t count = std::min<size_t>(opts.laneTile, B - s);
+            tiles.push_back({s, count, static_cast<uint32_t>(count)});
+        }
+    }
+    for (const Tile &t : tiles) {
+        ++(t.lanes == 1 ? tally.scalarTiles : tally.laneTiles);
+        tally.paddedLanes += t.lanes - t.count;
+    }
+
+    lastWidth = participants(tiles);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<double> secs(tiles.size());
+    std::vector<char> onCaller(tiles.size());
+    WorkPool::global().parallelFor(tiles.size(), lastWidth, [&](size_t i) {
+        const Tile &t = tiles[i];
+        double t0 = nowSeconds();
+        if (compiled) {
+            runCompiledTile(batch, t.start, t.count, t.lanes,
+                            t.lanes == opts.laneTile ? *wide : *scalar,
+                            out);
+        } else {
+            runLevelizedTile(batch, t.start, t.count, out);
+        }
+        secs[i] = nowSeconds() - t0;
+        onCaller[i] = std::this_thread::get_id() == caller;
+    });
+
+    // A serial batch runs on the caller, so a shape's estimate is the
+    // mean time of the tiles the caller ran. A worker's tile also pays
+    // for what the caller does not: a fresh or trimmed allocator arena,
+    // a CPU waking up. A shape the caller ran no tile of takes the
+    // workers' mean.
+    std::map<uint32_t, std::pair<double, size_t>> own, any;
+    for (size_t i = 0; i < tiles.size(); ++i) {
+        auto add = [&](auto &sums) {
+            auto &[total, n] = sums[tiles[i].lanes];
+            total += secs[i];
+            ++n;
+        };
+        add(any);
+        if (onCaller[i])
+            add(own);
+    }
+    for (const auto &[lanes, sum] : any) {
+        auto it = own.find(lanes);
+        const auto &[total, n] = it != own.end() ? it->second : sum;
+        tileSeconds[lanes] = total / static_cast<double>(n);
     }
     return out;
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/env.h"
+#include "support/pool.h"
 
 namespace calyx::sim {
 
@@ -39,13 +40,15 @@ struct BatchOptions
 {
     Engine engine = Engine::Compiled;
     /**
-     * Worker threads (1 = run on the caller). Independent tiles are
-     * spread over them, including the one-lane tiles of a short
-     * compiled batch; each tile is one serial walk, so a batch with a
-     * single tile (notably batch size 1) runs on one thread whatever
-     * this says.
+     * Most threads a batch spreads its tiles over (1 = run on the
+     * caller): by default the usable cores of the thread that builds
+     * these options (WorkPool::defaultThreads(), the affinity mask).
+     * It is a cap, which BatchRunner's grain gate lowers to 1 for a
+     * batch too short to pay the pool's dispatch. Each tile is one
+     * serial walk, so a batch with a single tile (notably batch size
+     * 1) runs on one thread whatever this says.
      */
-    unsigned threads = 1;
+    unsigned threads = WorkPool::defaultThreads();
     /**
      * Widest tile, in lanes. Each tile is one schedule walk (levelized)
      * or one module pass (compiled) and one work item for the pool.
@@ -92,7 +95,13 @@ struct BatchOptions
  * of the Jacobi oracle.
  *
  * Tiles own disjoint state, so they parallelize over the work-stealing
- * pool (support/pool.h) without locks.
+ * pool (support/pool.h) without locks. Construction reserves the pool
+ * workers `threads` needs, so they take the constructing thread's
+ * affinity mask. A grain gate decides per batch whether to spread: the
+ * runner times its tiles per shape (lane count), and a batch spreads
+ * unless every one of its shapes has been timed and its estimated
+ * serial time stays within 4 times the pool's measured dispatch cost
+ * (WorkPool::dispatchSeconds()); then it runs on the caller alone.
  *
  * A BatchRunner is resident: construction builds the schedule once, on
  * the caller, so tiles only read it; run() loads each compiled module
@@ -143,9 +152,26 @@ class BatchRunner
      * cache without invoking the host compiler. */
     bool modulesFromCache() const { return allFromCache; }
 
+    /** Batches of >= 2 tiles that the grain gate ran on the caller
+     * alone although `threads` allowed more. */
+    uint64_t serialBatches() const { return gatedSerial; }
+
+    /** Participants the last run() spread its tiles over. */
+    unsigned lastParticipants() const { return lastWidth; }
+
     const BatchOptions &options() const { return opts; }
 
   private:
+    /** `count` stimuli from `start` on one tile `lanes` wide. */
+    struct Tile
+    {
+        size_t start, count;
+        uint32_t lanes;
+    };
+
+    /// The grain gate: how many participants `tiles` spread over.
+    unsigned participants(const std::vector<Tile> &tiles);
+
     void runCompiledTile(const std::vector<Stimulus> &batch, size_t start,
                          size_t count, uint32_t lanes,
                          const CompiledModule &mod,
@@ -153,8 +179,6 @@ class BatchRunner
     void runLevelizedTile(const std::vector<Stimulus> &batch, size_t start,
                           size_t count, std::vector<LaneResult> &out);
     std::shared_ptr<CompiledModule> moduleFor(uint32_t lanes);
-    /// Add `tiles` tiles `lanes` wide holding `stimuli` stimuli in all.
-    void countTiles(size_t tiles, uint32_t lanes, size_t stimuli);
 
     /// Per-memory-slot lane image for one stimulus (resolved indices).
     std::vector<std::vector<uint64_t>> seedImages(const Stimulus &s) const;
@@ -173,6 +197,12 @@ class BatchRunner
     uint64_t loads = 0;
     bool allFromCache = true;
     TileCounts tally;
+
+    /// Seconds per tile by lane count, from the last batch that ran
+    /// the shape: the mean of the tiles the caller ran.
+    std::map<uint32_t, double> tileSeconds;
+    uint64_t gatedSerial = 0;
+    unsigned lastWidth = 0;
 };
 
 /** One-shot convenience over a temporary BatchRunner. */

@@ -205,8 +205,27 @@ writeEscaped(const std::string &s, std::ostream &os)
 void
 Value::write(std::ostream &os, int indent) const
 {
-    std::string pad(indent, ' ');
-    std::string inner(indent + 2, ' ');
+    put(os, indent);
+}
+
+std::string
+Value::str() const
+{
+    std::ostringstream os;
+    put(os, -1);
+    return os.str();
+}
+
+void
+Value::put(std::ostream &os, int indent) const
+{
+    const bool pretty = indent >= 0;
+    const int next = pretty ? indent + 2 : indent;
+    // Between elements: a newline and the inner indentation, or nothing.
+    auto breakTo = [&](int level) {
+        if (pretty)
+            os << '\n' << std::string(level, ' ');
+    };
     switch (kindVal) {
       case Kind::Null:
         os << "null";
@@ -241,13 +260,14 @@ Value::write(std::ostream &os, int indent) const
             os << "[]";
             break;
         }
-        os << "[\n";
+        os << "[";
         for (size_t i = 0; i < arr.size(); ++i) {
-            os << inner;
-            arr[i].write(os, indent + 2);
-            os << (i + 1 < arr.size() ? ",\n" : "\n");
+            os << (i ? "," : "");
+            breakTo(next);
+            arr[i].put(os, next);
         }
-        os << pad << "]";
+        breakTo(indent);
+        os << "]";
         break;
       }
       case Kind::Obj: {
@@ -255,26 +275,19 @@ Value::write(std::ostream &os, int indent) const
             os << "{}";
             break;
         }
-        os << "{\n";
+        os << "{";
         for (size_t i = 0; i < obj.size(); ++i) {
-            os << inner;
+            os << (i ? "," : "");
+            breakTo(next);
             writeEscaped(obj[i].first, os);
-            os << ": ";
-            obj[i].second.write(os, indent + 2);
-            os << (i + 1 < obj.size() ? ",\n" : "\n");
+            os << (pretty ? ": " : ":");
+            obj[i].second.put(os, next);
         }
-        os << pad << "}";
+        breakTo(indent);
+        os << "}";
         break;
       }
     }
-}
-
-std::string
-Value::str() const
-{
-    std::ostringstream os;
-    write(os);
-    return os.str();
 }
 
 namespace {

@@ -33,9 +33,34 @@ errSlot()
 /** Set while this thread executes pool work (caller or worker). */
 thread_local bool tlInPool = false;
 
-/** Live participant count and its high-water mark. */
-std::atomic<unsigned> activeParts{0};
+/** Marks this thread as running pool work for its lifetime. */
+struct InPool
+{
+    bool was = tlInPool;
+    InPool() { tlInPool = true; }
+    ~InPool() { tlInPool = was; }
+};
+
+/** Participants held by running loops, and its high-water mark. */
+std::atomic<unsigned> heldParts{0};
 std::atomic<unsigned> peakParts{0};
+
+/** Holds `n` participants for its lifetime. */
+struct Hold
+{
+    unsigned n;
+
+    explicit Hold(unsigned n) : n(n)
+    {
+        unsigned held = heldParts.fetch_add(n, std::memory_order_relaxed) + n;
+        unsigned peak = peakParts.load(std::memory_order_relaxed);
+        while (held > peak &&
+               !peakParts.compare_exchange_weak(peak, held,
+                                                std::memory_order_relaxed))
+            ;
+    }
+    ~Hold() { heldParts.fetch_sub(n, std::memory_order_relaxed); }
+};
 
 } // namespace
 
@@ -72,6 +97,23 @@ void
 WorkPool::resetPeakParticipants()
 {
     peakParts.store(0, std::memory_order_relaxed);
+}
+
+void
+WorkPool::reserve(unsigned threads)
+{
+    std::lock_guard<std::mutex> lk(mu);
+    ensureWorkers(threads > 1 ? threads - 1 : 0);
+}
+
+WorkPool::Counters
+WorkPool::counters() const
+{
+    Counters c;
+    c.jobs = jobs.load(std::memory_order_relaxed);
+    c.wakeMin = wakeMin.load(std::memory_order_relaxed);
+    c.wakeTotal = wakeTotal.load(std::memory_order_relaxed);
+    return c;
 }
 
 void
@@ -116,14 +158,9 @@ WorkPool::workerLoop(unsigned id)
 void
 WorkPool::runAs(Job &job, size_t self)
 {
-    bool wasInPool = tlInPool;
-    tlInPool = true;
-    unsigned act = activeParts.fetch_add(1, std::memory_order_relaxed) + 1;
-    unsigned peak = peakParts.load(std::memory_order_relaxed);
-    while (act > peak &&
-           !peakParts.compare_exchange_weak(peak, act,
-                                            std::memory_order_relaxed))
-        ;
+    InPool in;
+    if (job.started.fetch_add(1) + 1 == job.parts)
+        job.allRunning = std::chrono::steady_clock::now();
 
     const auto &fn = *job.fn;
     auto run = [&](size_t i) {
@@ -160,9 +197,6 @@ WorkPool::runAs(Job &job, size_t self)
         if (i < victim.end)
             run(i);
     }
-
-    activeParts.fetch_sub(1, std::memory_order_relaxed);
-    tlInPool = wasInPool;
 }
 
 void
@@ -173,17 +207,20 @@ WorkPool::dispatch(Job &j)
     // queue here instead of stacking their thread counts.
     static std::mutex jobMu;
     std::lock_guard<std::mutex> serial(jobMu);
+    Hold hold(static_cast<unsigned>(j.parts));
 
     {
         std::lock_guard<std::mutex> lk(errSlot().mu);
         errSlot().err = nullptr;
     }
 
+    std::chrono::steady_clock::time_point published;
     {
         std::lock_guard<std::mutex> lk(mu);
         ensureWorkers(static_cast<unsigned>(j.parts) - 1);
         job = &j;
         ++generation;
+        published = std::chrono::steady_clock::now();
     }
     cv.notify_all();
 
@@ -195,6 +232,16 @@ WorkPool::dispatch(Job &j)
         doneCv.wait(lk, [&] { return j.done.load() == j.parts; });
         job = nullptr;
     }
+
+    // jobMu makes this caller the counters' only writer.
+    double wake =
+        std::chrono::duration<double>(j.allRunning - published).count();
+    if (jobs.load(std::memory_order_relaxed) == 0 ||
+        wake < wakeMin.load(std::memory_order_relaxed))
+        wakeMin.store(wake, std::memory_order_relaxed);
+    wakeTotal.store(wakeTotal.load(std::memory_order_relaxed) + wake,
+                    std::memory_order_relaxed);
+    jobs.fetch_add(1, std::memory_order_relaxed);
 
     std::exception_ptr err;
     {
@@ -215,6 +262,10 @@ WorkPool::parallelFor(size_t n, unsigned threads,
     if (threads > n)
         threads = static_cast<unsigned>(n);
     if (threads <= 1 || tlInPool) {
+        // A serial loop holds its caller, unless a loop it is nested
+        // in holds it already; loops nested in it run serially too.
+        Hold hold(tlInPool ? 0 : 1);
+        InPool in;
         for (size_t i = 0; i < n; ++i)
             fn(i);
         return;

@@ -2,8 +2,10 @@
 #define CALYX_SUPPORT_POOL_H
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -31,17 +33,21 @@ namespace calyx {
  * The pool is the process-wide occupancy cap: jobs from concurrent
  * callers (e.g. two threads each running a batch) serialize on a
  * single publication slot instead of stacking thread counts, and a
- * parallelFor issued from *inside* a worker runs serially on that
- * worker rather than deadlocking on the slot — so a `--threads N`
+ * parallelFor issued from *inside* a running loop runs serially on
+ * that thread rather than deadlocking on the slot — so a `--threads N`
  * process never runs more than N items at once, however the subsystems
- * nest. peakParticipants() exposes the observed high-water mark for
- * tests asserting exactly that.
+ * nest. peakParticipants() exposes the widest job held for tests
+ * asserting exactly that, and the gate decisions of sim/batch.h.
  *
- * Workers are spawned lazily up to the high-water request and persist
- * for the process lifetime (detached at exit), so a `futil --serve`
- * session pays thread startup once, not per request. Exceptions thrown
- * by `fn` are captured; the first one is rethrown on the caller after
- * every participant has drained.
+ * Workers persist for the process lifetime (detached at exit), so a
+ * `futil --serve` session pays thread startup once, not per request.
+ * A worker inherits the affinity mask of the thread that spawns it:
+ * reserve() spawns them up front, on the thread that chose the width,
+ * and a job wider than any reservation spawns the rest lazily. Every
+ * spread job is timed from publication until all of its participants
+ * are running; dispatchSeconds() is the cost a caller weighs a short
+ * job against. Exceptions thrown by `fn` are captured; the first one is
+ * rethrown on the caller after every participant has drained.
  */
 class WorkPool
 {
@@ -52,19 +58,51 @@ class WorkPool
     /**
      * Run `fn(i)` for every i in [0, n) across `threads` participants
      * (clamped to [1, n]; the caller is one of them). Returns when all
-     * items are done. When called from inside a pool worker the loop
-     * runs serially on that worker (nested parallelism is capped, not
-     * stacked).
+     * items are done. When called from inside a running loop (a pool
+     * worker's, or a serial one on the caller) the loop runs serially
+     * on that thread (nested parallelism is capped, not stacked).
      */
     void parallelFor(size_t n, unsigned threads,
                      const std::function<void(size_t)> &fn);
 
     /**
-     * High-water mark of simultaneously active participants since the
-     * last reset — the observable for "no 2N-thread spike" tests.
+     * Spawn now, on the calling thread, the workers a `threads`-wide
+     * job needs, so they inherit this thread's affinity mask rather
+     * than that of whichever thread first dispatches.
+     */
+    void reserve(unsigned threads);
+
+    /**
+     * High-water mark, since the last reset, of participants held at
+     * once: a spread job holds its width from publication until it
+     * completes, a serial loop holds its one caller, and a loop nested
+     * in either holds nothing more. The observable for "no 2N-thread
+     * spike" tests and for how wide a batch ran.
      */
     static unsigned peakParticipants();
     static void resetPeakParticipants();
+
+    /** Dispatch counters, process-wide. */
+    struct Counters
+    {
+        uint64_t jobs = 0; ///< Jobs spread over >= 2 participants.
+        /// Wake latency of those jobs, seconds: from publication until
+        /// every participant runs. 0 before the first.
+        double wakeMin = 0, wakeTotal = 0;
+    };
+    Counters counters() const;
+
+    /**
+     * The dispatch cost a caller weighs a short job against: the least
+     * wake latency seen, the cost of waking workers whose CPUs are
+     * ready. A pool idle long enough for its CPUs to sleep pays more,
+     * once; a loaded host pays more on every job. 0 before the first
+     * job.
+     */
+    double dispatchSeconds() const
+    {
+        return wakeMin.load(std::memory_order_relaxed);
+    }
 
     /** Usable cores: the CPUs in the calling thread's affinity mask,
      * >= 1. */
@@ -86,8 +124,11 @@ class WorkPool
     {
         const std::function<void(size_t)> *fn = nullptr;
         std::vector<Range> ranges;
-        std::atomic<size_t> done{0}; ///< Participants finished.
+        std::atomic<size_t> started{0}; ///< Participants running.
+        std::atomic<size_t> done{0};    ///< Participants finished.
         size_t parts = 0;
+        /// Set by the last participant to start; read after `done`.
+        std::chrono::steady_clock::time_point allRunning;
     };
 
     void ensureWorkers(unsigned count);
@@ -101,7 +142,11 @@ class WorkPool
     Job *job = nullptr;              ///< Published under `mu`.
     uint64_t generation = 0;         ///< Bumped per job.
     unsigned spawned = 0;
-    std::vector<std::thread> workers;
+
+    // Dispatch counters: written by the one dispatching caller, read
+    // by anyone.
+    std::atomic<uint64_t> jobs{0};
+    std::atomic<double> wakeMin{0}, wakeTotal{0};
 };
 
 } // namespace calyx

@@ -7,9 +7,10 @@
  * lanes take divergent control paths (a while loop bounded by a value
  * loaded from memory) and batches cut into tiles whose tail runs
  * either padded or (compiled engine, short tails) on the scalar module.
- * Also covers the work-stealing pool the tiles are spread over and its
- * usable-core count, and the construction-time rejections (groups,
- * the Jacobi oracle).
+ * Also covers the work-stealing pool the tiles are spread over, its
+ * usable-core count (the default thread count), the grain gate's
+ * choice to spread a batch or run it on the caller, and the
+ * construction-time rejections (groups, the Jacobi oracle).
  */
 #include <gtest/gtest.h>
 #include <sched.h>
@@ -24,6 +25,7 @@
 
 #include "frontends/dahlia/codegen.h"
 #include "frontends/dahlia/parser.h"
+#include "frontends/systolic/systolic.h"
 #include "helpers.h"
 #include "ir/parser.h"
 #include "sim/batch.h"
@@ -33,6 +35,16 @@
 #include "support/error.h"
 #include "workloads/harness.h"
 #include "workloads/polybench.h"
+
+// Sanitizers slow a tile's host code and allocations several-fold but
+// not the kernel's wake-up of a worker.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CALYX_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CALYX_SANITIZED 1
+#endif
+#endif
 
 namespace calyx {
 namespace {
@@ -330,6 +342,73 @@ TEST(BatchSim, ResidentRunnerReusesOneModule)
     EXPECT_LE(runner.moduleLoads(), 2u);
 }
 
+TEST(BatchSim, ThreadsDefaultToUsableCores)
+{
+    EXPECT_EQ(sim::BatchOptions{}.threads, WorkPool::defaultThreads());
+}
+
+/**
+ * Participants of each of `runs` successive batches of `n` default
+ * stimuli on one compiled runner `threads` wide. An untimed runner
+ * first runs as many, so that the module's code and the pool's workers
+ * are warm: the decisions then follow the gate's rule, not the
+ * first-touch costs a sanitizer build multiplies.
+ */
+std::vector<unsigned>
+gateDecisions(Context &ctx, size_t n, unsigned threads, int runs)
+{
+    sim::SimProgram sp(ctx, ctx.entrypoint());
+    sim::BatchOptions opts;
+    opts.engine = sim::Engine::Compiled;
+    opts.threads = threads;
+    std::vector<sim::Stimulus> batch(n);
+    {
+        sim::BatchRunner warm(sp, opts);
+        for (int r = 0; r < runs; ++r)
+            warm.run(batch);
+    }
+    sim::BatchRunner runner(sp, opts);
+    std::vector<unsigned> widths;
+    for (int r = 0; r < runs; ++r) {
+        WorkPool::resetPeakParticipants();
+        runner.run(batch);
+        widths.push_back(WorkPool::peakParticipants());
+        EXPECT_EQ(runner.lastParticipants(), widths.back());
+    }
+    return widths;
+}
+
+TEST(BatchSim, GrainGateSpreadsOnlyBatchesThatPay)
+{
+    if (!sim::compiledEngineUnavailableReason().empty())
+        GTEST_SKIP() << sim::compiledEngineUnavailableReason();
+    // The counter's four 16-lane tiles take microseconds, less than
+    // waking three workers: once its shape is timed (the first batch
+    // spreads to time it), a batch runs on the caller alone. Under a
+    // sanitizer a tile costs about what a wake-up does, and the choice
+    // follows the noise, so only the first batch is held there.
+    std::ifstream in(std::string(CALYX_EXAMPLES_DIR) + "/counter.futil");
+    ASSERT_TRUE(in);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    Context counter = Parser::parseProgram(buffer.str());
+    passes::runPipeline(counter, "all");
+    std::vector<unsigned> counter64 = gateDecisions(counter, 64, 4, 3);
+    EXPECT_EQ(counter64[0], 4u);
+#ifndef CALYX_SANITIZED
+    EXPECT_EQ(counter64, (std::vector<unsigned>{4, 1, 1}));
+#endif
+
+    // A systolic 4x4 tile takes milliseconds: every batch spreads.
+    Context systolic4;
+    systolic::Config cfg;
+    cfg.rows = cfg.cols = cfg.inner = 4;
+    systolic::generate(systolic4, cfg);
+    passes::runPipeline(systolic4, "all,-resource-sharing,-register-sharing");
+    EXPECT_EQ(gateDecisions(systolic4, 64, 4, 3),
+              (std::vector<unsigned>{4, 4, 4}));
+}
+
 TEST(BatchSim, RejectsJacobiAndGroups)
 {
     Context lowered = Parser::parseProgram(kDataBoundedLoop);
@@ -450,8 +529,16 @@ TEST(WorkPool, DefaultThreadsCountsTheAffinityMask)
     CPU_SET(cpu, &one);
     ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
     unsigned pinned = WorkPool::defaultThreads();
+    // A runner built here resolves its default thread count here.
+    Context ctx = Parser::parseProgram(kDataBoundedLoop);
+    passes::runPipeline(ctx, "all");
+    sim::SimProgram sp(ctx, ctx.entrypoint());
+    sim::BatchOptions opts;
+    opts.engine = sim::Engine::Levelized;
+    sim::BatchRunner runner(sp, opts);
     ASSERT_EQ(sched_setaffinity(0, sizeof all, &all), 0);
     EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(runner.options().threads, 1u);
 }
 
 TEST(WorkPool, NestedParallelismIsCappedNotStacked)

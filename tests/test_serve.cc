@@ -24,6 +24,7 @@
 #include "sim/env.h"
 #include "support/error.h"
 #include "support/json.h"
+#include "support/pool.h"
 
 namespace calyx {
 namespace {
@@ -343,6 +344,37 @@ TEST(Serve, SustainsHundredRequestsOnResidentCompiledModule)
     EXPECT_EQ(serve_stats.at("scalar_tiles").asNum(), 200u);
     EXPECT_EQ(serve_stats.at("lane_tiles").asNum(), 0u);
     EXPECT_EQ(serve_stats.at("padded_lanes").asNum(), 0u);
+}
+
+/** Stats report the thread count the session resolved and the pool
+ * counters behind the grain gate. */
+TEST(Serve, StatsReportResolvedThreadsAndPool)
+{
+    Context ctx = loweredLoop();
+    sim::SimProgram sp(ctx, ctx.entrypoint());
+    serve::ServeOptions opts;
+    EXPECT_EQ(opts.threads, WorkPool::defaultThreads());
+    opts.engine = sim::Engine::Levelized;
+    opts.laneTile = 1; // Four one-lane tiles per request.
+    std::istringstream in(frame(runRequest({1, 2, 3, 4})) +
+                          frame(runRequest({4, 3, 2, 1})) +
+                          frame("{\"type\": \"stats\"}"));
+    std::ostringstream out;
+    serve::serve(sp, in, out, opts);
+    auto docs = responses(out.str());
+    ASSERT_EQ(docs.size(), 3u);
+    const json::Value &s = docs[2].at("result").at("serve");
+    EXPECT_EQ(s.at("threads").asNum(), WorkPool::defaultThreads());
+    const json::Value &pool = s.at("pool");
+    // The first batch spreads to time its shape; only the second may
+    // have been run serially.
+    EXPECT_LE(pool.at("serial_batches").asNum(), 1u);
+    if (WorkPool::defaultThreads() >= 2) {
+        EXPECT_GE(pool.at("jobs").asNum(), 1u);
+        EXPECT_GT(pool.at("wake_us_min").asReal(), 0);
+        EXPECT_GE(pool.at("wake_us_mean").asReal(),
+                  pool.at("wake_us_min").asReal());
+    }
 }
 
 /** Stats count the tile shapes each run request was cut into. */

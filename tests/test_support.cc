@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "support/bits.h"
 #include "support/error.h"
 #include "support/hash.h"
@@ -197,7 +199,26 @@ TEST(Json, ObjectsPreserveInsertionOrder)
     json::Value obj = json::Value::object();
     obj.set("z", json::Value::number(1));
     obj.set("a", json::Value::number(2));
-    EXPECT_EQ(obj.str(), "{\n  \"z\": 1,\n  \"a\": 2\n}");
+    std::ostringstream os;
+    obj.write(os);
+    EXPECT_EQ(os.str(), "{\n  \"z\": 1,\n  \"a\": 2\n}");
+}
+
+TEST(Json, WireTextIsCompact)
+{
+    // str() is the serve wire format: no whitespace between tokens,
+    // while write() indents for files people read. Both parse alike.
+    json::Value words = json::Value::array();
+    words.push(json::Value::number(1));
+    words.push(json::Value::number(2));
+    json::Value obj = json::Value::object();
+    obj.set("words", std::move(words));
+    obj.set("s", json::Value::str("a b"));
+    obj.set("none", json::Value::object());
+    EXPECT_EQ(obj.str(), "{\"words\":[1,2],\"s\":\"a b\",\"none\":{}}");
+    std::ostringstream os;
+    obj.write(os);
+    EXPECT_EQ(json::parse(os.str()).str(), obj.str());
 }
 
 } // namespace

@@ -46,9 +46,11 @@
  *                            the zero-initialized design
  *     --stimuli <file>       JSON stimulus batch ({"batch": [...]},
  *                            serve/protocol.h schema) for --batch
- *     --threads <N>          worker threads for --batch and --serve:
- *                            independent batch tiles spread over them
- *                            (requires --batch, --stimuli or --serve)
+ *     --threads <N>          most threads --batch and --serve spread
+ *                            independent batch tiles over (default:
+ *                            the usable cores; a batch too short to
+ *                            pay for waking them runs on one; requires
+ *                            --batch, --stimuli or --serve)
  *     --lane-tile <N>        widest compiled tile, in lanes (default
  *                            16; short batch tails run scalar)
  *     --serve                stimulus-stream service: read
@@ -144,8 +146,8 @@ usage()
         << " (default levelized)\n"
            "  --batch <N>            batched simulation of N stimuli\n"
            "  --stimuli <file>       JSON stimulus batch for --batch\n"
-           "  --threads <N>          worker threads for --batch/--serve\n"
-           "                         tiles (default 1)\n"
+           "  --threads <N>          most threads for --batch/--serve\n"
+           "                         tiles (default: usable cores)\n"
            "  --lane-tile <N>        widest compiled tile, in lanes\n"
            "                         (default 16)\n"
            "  --serve                stimulus-stream service on\n"
@@ -233,8 +235,7 @@ main(int argc, char **argv)
     bool engine_set = false;
     bool serve = false;
     uint64_t batch = 0; ///< 0 = scalar simulation.
-    unsigned threads = 1;
-    bool threads_set = false;
+    unsigned threads = 0; ///< 0 = the options' default, usable cores.
     uint32_t lane_tile = 0; ///< 0 = BatchOptions default.
     std::string stimuli_file;
     calyx::passes::RunOptions run_options;
@@ -358,7 +359,6 @@ main(int argc, char **argv)
                 std::cerr << "error: --threads wants a positive count\n";
                 return 2;
             }
-            threads_set = true;
         } else if (a == "--lane-tile") {
             if (++i >= args.size())
                 return usage();
@@ -381,7 +381,7 @@ main(int argc, char **argv)
     }
     if (file.empty())
         return usage();
-    if (threads_set && batch == 0 && stimuli_file.empty() && !serve) {
+    if (threads && batch == 0 && stimuli_file.empty() && !serve) {
         // Threads only spread independent batch tiles; a single
         // stimulus always runs one serial walk.
         std::cerr << "error: --threads needs --batch, --stimuli or "
@@ -529,7 +529,8 @@ main(int argc, char **argv)
             // unless the user explicitly asked for another one.
             so.engine = engine_set ? sim_engine
                                    : calyx::sim::Engine::Compiled;
-            so.threads = threads;
+            if (threads)
+                so.threads = threads;
             so.laneTile = lane_tile;
             so.file = file;
             // Opt into the persistent compile-cache tier the same way
@@ -550,7 +551,8 @@ main(int argc, char **argv)
             calyx::sim::BatchOptions bo;
             bo.engine = engine_set ? sim_engine
                                    : calyx::sim::Engine::Compiled;
-            bo.threads = threads;
+            if (threads)
+                bo.threads = threads;
             if (lane_tile)
                 bo.laneTile = lane_tile;
 
@@ -605,7 +607,10 @@ main(int argc, char **argv)
                       << " stimuli/s ("
                       << calyx::sim::engineName(bo.engine) << ", tile "
                       << bo.laneTile << ", " << bo.threads
-                      << (bo.threads == 1 ? " thread)" : " threads)")
+                      << (bo.threads == 1 ? " thread, " : " threads, ")
+                      << runner.lastParticipants()
+                      << (runner.lastParticipants() == 1 ? " participant)"
+                                                         : " participants)")
                       << "\n";
         }
         if (simulate) {
