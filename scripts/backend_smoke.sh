@@ -61,6 +61,21 @@ else
     echo "ok   futil --threads without --batch/--serve is rejected"
 fi
 
+# --threads takes a count from 1 to 1024; anything else is a usage
+# error, reported before a thread starts.
+for count in 0 -1 1025 100000; do
+    "$futil" --batch 2 --threads "$count" examples/counter.futil \
+        > /dev/null 2>&1
+    status=$?
+    if [ $status -ne 2 ]; then
+        echo "FAIL: futil --batch 2 --threads $count exited $status," \
+             "want 2" >&2
+        failures=$((failures + 1))
+    else
+        echo "ok   futil --threads $count is rejected"
+    fi
+done
+
 if [ $failures -ne 0 ]; then
     echo "backend_smoke: $failures failure(s)" >&2
     exit 1

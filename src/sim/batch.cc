@@ -1,7 +1,6 @@
 #include "sim/batch.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "sim/compiled.h"
 #include "sim/cycle_sim.h"
@@ -316,9 +315,7 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
     }
 
     lastWidth = participants(tiles);
-    const std::thread::id caller = std::this_thread::get_id();
     std::vector<double> secs(tiles.size());
-    std::vector<char> onCaller(tiles.size());
     WorkPool::global().parallelFor(tiles.size(), lastWidth, [&](size_t i) {
         const Tile &t = tiles[i];
         double t0 = nowSeconds();
@@ -330,29 +327,17 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
             runLevelizedTile(batch, t.start, t.count, out);
         }
         secs[i] = nowSeconds() - t0;
-        onCaller[i] = std::this_thread::get_id() == caller;
     });
 
-    // A serial batch runs on the caller, so a shape's estimate is the
-    // mean time of the tiles the caller ran. A worker's tile also pays
-    // for what the caller does not: a fresh or trimmed allocator arena,
-    // a CPU waking up. A shape the caller ran no tile of takes the
-    // workers' mean.
-    std::map<uint32_t, std::pair<double, size_t>> own, any;
+    // A shape's estimate is its fastest tile in this batch. A worker's
+    // tile also pays for what a serial batch on the caller does not (a
+    // fresh or trimmed allocator arena, a CPU waking up), so the
+    // caller's tile usually sets it; a shape that ran only on workers
+    // still gets one. Tiles of one shape are adjacent.
     for (size_t i = 0; i < tiles.size(); ++i) {
-        auto add = [&](auto &sums) {
-            auto &[total, n] = sums[tiles[i].lanes];
-            total += secs[i];
-            ++n;
-        };
-        add(any);
-        if (onCaller[i])
-            add(own);
-    }
-    for (const auto &[lanes, sum] : any) {
-        auto it = own.find(lanes);
-        const auto &[total, n] = it != own.end() ? it->second : sum;
-        tileSeconds[lanes] = total / static_cast<double>(n);
+        double &s = tileSeconds[tiles[i].lanes];
+        s = i && tiles[i - 1].lanes == tiles[i].lanes ? std::min(s, secs[i])
+                                                       : secs[i];
     }
     return out;
 }

@@ -96,12 +96,13 @@ struct BatchOptions
  *
  * Tiles own disjoint state, so they parallelize over the work-stealing
  * pool (support/pool.h) without locks. Construction reserves the pool
- * workers `threads` needs, so they take the constructing thread's
- * affinity mask. A grain gate decides per batch whether to spread: the
- * runner times its tiles per shape (lane count), and a batch spreads
- * unless every one of its shapes has been timed and its estimated
- * serial time stays within 4 times the pool's measured dispatch cost
- * (WorkPool::dispatchSeconds()); then it runs on the caller alone.
+ * workers `threads` needs, up to the usable cores, so they take the
+ * constructing thread's affinity mask. A grain gate decides per batch
+ * whether to spread: the runner times its tiles per shape (lane
+ * count), and a batch spreads unless every one of its shapes has been
+ * timed and its estimated serial time stays within 4 times the pool's
+ * measured dispatch cost (WorkPool::dispatchSeconds()); then it runs
+ * on the caller alone.
  *
  * A BatchRunner is resident: construction builds the schedule once, on
  * the caller, so tiles only read it; run() loads each compiled module
@@ -198,8 +199,8 @@ class BatchRunner
     bool allFromCache = true;
     TileCounts tally;
 
-    /// Seconds per tile by lane count, from the last batch that ran
-    /// the shape: the mean of the tiles the caller ran.
+    /// Seconds per tile by lane count: the fastest tile of that shape
+    /// in the last batch that ran it.
     std::map<uint32_t, double> tileSeconds;
     uint64_t gatedSerial = 0;
     unsigned lastWidth = 0;

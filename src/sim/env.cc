@@ -277,6 +277,12 @@ SimProgram::SimProgram(const Context &ctx, Symbol top)
     rootInst = std::make_unique<Instance>();
     rootInst->path = "";
     buildInstance(*rootInst, ctx.component(top));
+    for (const ModelCell &mc : cellList) {
+        protoModels.push_back(
+            makeModel(*mc.cell, [&](const std::string &port) {
+                return portId(mc.path.str() + "." + port);
+            }));
+    }
     modelList = newModelSet();
     for (size_t i = 0; i < modelList.size(); ++i)
         modelIndex[cellList[i].path] = modelList[i].get();
@@ -400,12 +406,9 @@ std::vector<std::unique_ptr<PrimModel>>
 SimProgram::newModelSet() const
 {
     std::vector<std::unique_ptr<PrimModel>> out;
-    out.reserve(cellList.size());
-    for (const ModelCell &mc : cellList) {
-        out.push_back(makeModel(*mc.cell, [&](const std::string &port) {
-            return portId(mc.path.str() + "." + port);
-        }));
-    }
+    out.reserve(protoModels.size());
+    for (const auto &m : protoModels)
+        out.push_back(m->clone());
     return out;
 }
 

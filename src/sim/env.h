@@ -261,7 +261,10 @@ class SimProgram
      * A K-lane SimState gives every stimulus lane its own set, so
      * per-lane register/memory/pipeline state lives behind the
      * ordinary PrimModel interface while the program's own models stay
-     * untouched.
+     * untouched. It copies a set built once, at construction: building
+     * a model resolves its port names through the process-wide symbol
+     * table, whose lock lanes built on several threads at once would
+     * contend on.
      */
     std::vector<std::unique_ptr<PrimModel>> newModelSet() const;
 
@@ -319,6 +322,8 @@ class SimProgram
     std::vector<Symbol> portNames;
     std::unordered_map<Symbol, uint32_t> portIds;
     std::vector<ModelCell> cellList;
+    /// Models at power-on, never run: what newModelSet() copies.
+    std::vector<std::unique_ptr<PrimModel>> protoModels;
     std::vector<std::unique_ptr<PrimModel>> modelList;
     std::unordered_map<Symbol, PrimModel *> modelIndex;
     std::vector<std::string> assignDescs;

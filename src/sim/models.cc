@@ -28,6 +28,12 @@ class ConstModel final : public PrimModel
         return {{out}, {}, false};
     }
 
+    std::unique_ptr<PrimModel>
+    clone() const override
+    {
+        return std::make_unique<ConstModel>(*this);
+    }
+
   private:
     uint32_t out;
     uint64_t value;
@@ -63,6 +69,12 @@ class UnaryModel final : public PrimModel
     deps() const override
     {
         return {{out}, {{in, {out}}}, false};
+    }
+
+    std::unique_ptr<PrimModel>
+    clone() const override
+    {
+        return std::make_unique<UnaryModel>(*this);
     }
 
   private:
@@ -117,6 +129,12 @@ class BinModel final : public PrimModel
         return {{out}, {{l, {out}}, {r, {out}}}, false};
     }
 
+    std::unique_ptr<PrimModel>
+    clone() const override
+    {
+        return std::make_unique<BinModel>(*this);
+    }
+
   private:
     Op op;
     uint32_t l, r, out;
@@ -165,6 +183,12 @@ class CmpModel final : public PrimModel
     deps() const override
     {
         return {{out}, {{l, {out}}, {r, {out}}}, false};
+    }
+
+    std::unique_ptr<PrimModel>
+    clone() const override
+    {
+        return std::make_unique<CmpModel>(*this);
     }
 
   private:
@@ -218,6 +242,12 @@ class RegModel final : public PrimModel
     deps() const override
     {
         return {{out, done}, {}, true};
+    }
+
+    std::unique_ptr<PrimModel>
+    clone() const override
+    {
+        return std::make_unique<RegModel>(*this);
     }
 
   private:
@@ -307,6 +337,12 @@ class MemModel final : public PrimModel
         return d;
     }
 
+    std::unique_ptr<PrimModel>
+    clone() const override
+    {
+        return std::make_unique<MemModel>(*this);
+    }
+
   private:
     std::vector<uint32_t> addrs, addrs1;
     std::vector<uint64_t> dims;
@@ -382,6 +418,12 @@ class PipeModel final : public PrimModel
         donePulse = false;
         remaining = 0;
         results.assign(outs.size(), 0);
+    }
+
+    std::unique_ptr<PrimModel>
+    clone() const override
+    {
+        return std::make_unique<PipeModel>(*this);
     }
 
   private:
@@ -467,6 +509,12 @@ class SqrtModel final : public PrimModel
         busy = false;
         donePulse = false;
         result = 0;
+    }
+
+    std::unique_ptr<PrimModel>
+    clone() const override
+    {
+        return std::make_unique<SqrtModel>(*this);
     }
 
   private:

@@ -52,6 +52,9 @@ class PrimModel
   public:
     virtual ~PrimModel() = default;
 
+    /** A copy of this model, state included. */
+    virtual std::unique_ptr<PrimModel> clone() const = 0;
+
     /** Recompute outputs: read `in[]`, write `out[]` (Jacobi pass). */
     virtual void evalComb(const uint64_t *in, uint64_t *out) const = 0;
 

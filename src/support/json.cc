@@ -205,20 +205,6 @@ writeEscaped(const std::string &s, std::ostream &os)
 void
 Value::write(std::ostream &os, int indent) const
 {
-    put(os, indent);
-}
-
-std::string
-Value::str() const
-{
-    std::ostringstream os;
-    put(os, -1);
-    return os.str();
-}
-
-void
-Value::put(std::ostream &os, int indent) const
-{
     const bool pretty = indent >= 0;
     const int next = pretty ? indent + 2 : indent;
     // Between elements: a newline and the inner indentation, or nothing.
@@ -264,7 +250,7 @@ Value::put(std::ostream &os, int indent) const
         for (size_t i = 0; i < arr.size(); ++i) {
             os << (i ? "," : "");
             breakTo(next);
-            arr[i].put(os, next);
+            arr[i].write(os, next);
         }
         breakTo(indent);
         os << "]";
@@ -281,13 +267,21 @@ Value::put(std::ostream &os, int indent) const
             breakTo(next);
             writeEscaped(obj[i].first, os);
             os << (pretty ? ": " : ":");
-            obj[i].second.put(os, next);
+            obj[i].second.write(os, next);
         }
         breakTo(indent);
         os << "}";
         break;
       }
     }
+}
+
+std::string
+Value::str() const
+{
+    std::ostringstream os;
+    write(os, -1);
+    return os.str();
 }
 
 namespace {

@@ -59,15 +59,14 @@ class Value
     /** Object member; fatal() when absent. */
     const Value &at(const std::string &key) const;
 
-    /** Serialize with 2-space indentation, for files people read. */
+    /** Serialize with 2-space indentation from column `indent`, for
+     * files people read, or on one line with no whitespace when
+     * `indent` < 0. */
     void write(std::ostream &os, int indent = 0) const;
-    /** Serialize on one line with no whitespace, for wire frames. */
+    /** write(os, -1): the compact form, for wire frames. */
     std::string str() const;
 
   private:
-    /// write() at `indent`, or compact when `indent` < 0.
-    void put(std::ostream &os, int indent) const;
-
     Kind kindVal = Kind::Null;
     bool boolVal = false;
     uint64_t numVal = 0;

@@ -33,34 +33,9 @@ errSlot()
 /** Set while this thread executes pool work (caller or worker). */
 thread_local bool tlInPool = false;
 
-/** Marks this thread as running pool work for its lifetime. */
-struct InPool
-{
-    bool was = tlInPool;
-    InPool() { tlInPool = true; }
-    ~InPool() { tlInPool = was; }
-};
-
-/** Participants held by running loops, and its high-water mark. */
-std::atomic<unsigned> heldParts{0};
+/** Live participant count and its high-water mark. */
+std::atomic<unsigned> activeParts{0};
 std::atomic<unsigned> peakParts{0};
-
-/** Holds `n` participants for its lifetime. */
-struct Hold
-{
-    unsigned n;
-
-    explicit Hold(unsigned n) : n(n)
-    {
-        unsigned held = heldParts.fetch_add(n, std::memory_order_relaxed) + n;
-        unsigned peak = peakParts.load(std::memory_order_relaxed);
-        while (held > peak &&
-               !peakParts.compare_exchange_weak(peak, held,
-                                                std::memory_order_relaxed))
-            ;
-    }
-    ~Hold() { heldParts.fetch_sub(n, std::memory_order_relaxed); }
-};
 
 } // namespace
 
@@ -102,8 +77,11 @@ WorkPool::resetPeakParticipants()
 void
 WorkPool::reserve(unsigned threads)
 {
+    // At most the usable cores: a wider job spawns the rest lazily,
+    // never more than it has items.
+    unsigned width = std::min(threads, defaultThreads());
     std::lock_guard<std::mutex> lk(mu);
-    ensureWorkers(threads > 1 ? threads - 1 : 0);
+    ensureWorkers(width > 1 ? width - 1 : 0);
 }
 
 WorkPool::Counters
@@ -120,9 +98,11 @@ void
 WorkPool::ensureWorkers(unsigned count)
 {
     while (spawned < count) {
-        unsigned id = spawned++;
-        std::thread t([this, id] { workerLoop(id); });
-        t.detach();
+        // Count a worker once it runs: a failed spawn throws and leaves
+        // no job waiting for it.
+        unsigned id = spawned;
+        std::thread([this, id] { workerLoop(id); }).detach();
+        ++spawned;
     }
 }
 
@@ -158,9 +138,16 @@ WorkPool::workerLoop(unsigned id)
 void
 WorkPool::runAs(Job &job, size_t self)
 {
-    InPool in;
+    bool wasInPool = tlInPool;
+    tlInPool = true;
     if (job.started.fetch_add(1) + 1 == job.parts)
         job.allRunning = std::chrono::steady_clock::now();
+    unsigned act = activeParts.fetch_add(1, std::memory_order_relaxed) + 1;
+    unsigned peak = peakParts.load(std::memory_order_relaxed);
+    while (act > peak &&
+           !peakParts.compare_exchange_weak(peak, act,
+                                            std::memory_order_relaxed))
+        ;
 
     const auto &fn = *job.fn;
     auto run = [&](size_t i) {
@@ -197,6 +184,9 @@ WorkPool::runAs(Job &job, size_t self)
         if (i < victim.end)
             run(i);
     }
+
+    activeParts.fetch_sub(1, std::memory_order_relaxed);
+    tlInPool = wasInPool;
 }
 
 void
@@ -207,7 +197,6 @@ WorkPool::dispatch(Job &j)
     // queue here instead of stacking their thread counts.
     static std::mutex jobMu;
     std::lock_guard<std::mutex> serial(jobMu);
-    Hold hold(static_cast<unsigned>(j.parts));
 
     {
         std::lock_guard<std::mutex> lk(errSlot().mu);
@@ -262,10 +251,6 @@ WorkPool::parallelFor(size_t n, unsigned threads,
     if (threads > n)
         threads = static_cast<unsigned>(n);
     if (threads <= 1 || tlInPool) {
-        // A serial loop holds its caller, unless a loop it is nested
-        // in holds it already; loops nested in it run serially too.
-        Hold hold(tlInPool ? 0 : 1);
-        InPool in;
         for (size_t i = 0; i < n; ++i)
             fn(i);
         return;

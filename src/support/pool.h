@@ -33,21 +33,22 @@ namespace calyx {
  * The pool is the process-wide occupancy cap: jobs from concurrent
  * callers (e.g. two threads each running a batch) serialize on a
  * single publication slot instead of stacking thread counts, and a
- * parallelFor issued from *inside* a running loop runs serially on
- * that thread rather than deadlocking on the slot — so a `--threads N`
+ * parallelFor issued from *inside* a worker runs serially on that
+ * worker rather than deadlocking on the slot — so a `--threads N`
  * process never runs more than N items at once, however the subsystems
- * nest. peakParticipants() exposes the widest job held for tests
- * asserting exactly that, and the gate decisions of sim/batch.h.
+ * nest. peakParticipants() exposes the observed high-water mark for
+ * tests asserting exactly that.
  *
  * Workers persist for the process lifetime (detached at exit), so a
  * `futil --serve` session pays thread startup once, not per request.
  * A worker inherits the affinity mask of the thread that spawns it:
  * reserve() spawns them up front, on the thread that chose the width,
- * and a job wider than any reservation spawns the rest lazily. Every
- * spread job is timed from publication until all of its participants
- * are running; dispatchSeconds() is the cost a caller weighs a short
- * job against. Exceptions thrown by `fn` are captured; the first one is
- * rethrown on the caller after every participant has drained.
+ * up to its usable cores, and a job wider than any reservation spawns
+ * the rest lazily, up to its item count. Every spread job is timed
+ * from publication until all of its participants are running;
+ * dispatchSeconds() is the cost a caller weighs a short job against.
+ * Exceptions thrown by `fn` are captured; the first one is rethrown on
+ * the caller after every participant has drained.
  */
 class WorkPool
 {
@@ -58,9 +59,9 @@ class WorkPool
     /**
      * Run `fn(i)` for every i in [0, n) across `threads` participants
      * (clamped to [1, n]; the caller is one of them). Returns when all
-     * items are done. When called from inside a running loop (a pool
-     * worker's, or a serial one on the caller) the loop runs serially
-     * on that thread (nested parallelism is capped, not stacked).
+     * items are done. When called from inside a pool worker the loop
+     * runs serially on that worker (nested parallelism is capped, not
+     * stacked).
      */
     void parallelFor(size_t n, unsigned threads,
                      const std::function<void(size_t)> &fn);
@@ -68,16 +69,14 @@ class WorkPool
     /**
      * Spawn now, on the calling thread, the workers a `threads`-wide
      * job needs, so they inherit this thread's affinity mask rather
-     * than that of whichever thread first dispatches.
+     * than that of whichever thread first dispatches. Spawns at most
+     * defaultThreads() - 1: a wider request reserves the usable cores.
      */
     void reserve(unsigned threads);
 
     /**
-     * High-water mark, since the last reset, of participants held at
-     * once: a spread job holds its width from publication until it
-     * completes, a serial loop holds its one caller, and a loop nested
-     * in either holds nothing more. The observable for "no 2N-thread
-     * spike" tests and for how wide a batch ran.
+     * High-water mark of simultaneously active participants since the
+     * last reset — the observable for "no 2N-thread spike" tests.
      */
     static unsigned peakParticipants();
     static void resetPeakParticipants();

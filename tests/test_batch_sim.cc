@@ -370,10 +370,8 @@ gateDecisions(Context &ctx, size_t n, unsigned threads, int runs)
     sim::BatchRunner runner(sp, opts);
     std::vector<unsigned> widths;
     for (int r = 0; r < runs; ++r) {
-        WorkPool::resetPeakParticipants();
         runner.run(batch);
-        widths.push_back(WorkPool::peakParticipants());
-        EXPECT_EQ(runner.lastParticipants(), widths.back());
+        widths.push_back(runner.lastParticipants());
     }
     return widths;
 }
@@ -407,6 +405,36 @@ TEST(BatchSim, GrainGateSpreadsOnlyBatchesThatPay)
     passes::runPipeline(systolic4, "all,-resource-sharing,-register-sharing");
     EXPECT_EQ(gateDecisions(systolic4, 64, 4, 3),
               (std::vector<unsigned>{4, 4, 4}));
+}
+
+/** Threads this process runs. */
+size_t
+processThreads()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+TEST(BatchSim, WideThreadCountReservesOnlyTheUsableCores)
+{
+    // A runner asked for more threads than the host has reserves its
+    // usable cores; the rest would only wait. The width stays in the
+    // dozens so that a regression starts dozens of threads, not the
+    // thousands a mistyped count asks for.
+    unsigned usable = WorkPool::defaultThreads();
+    WorkPool::global().reserve(usable);
+    size_t before = processThreads();
+    Context ctx = Parser::parseProgram(kDataBoundedLoop);
+    passes::runPipeline(ctx, "all");
+    sim::SimProgram sp(ctx, ctx.entrypoint());
+    sim::BatchOptions opts;
+    opts.engine = sim::Engine::Levelized;
+    opts.threads = usable + 64;
+    sim::BatchRunner runner(sp, opts);
+    EXPECT_EQ(processThreads(), before);
 }
 
 TEST(BatchSim, RejectsJacobiAndGroups)

@@ -47,10 +47,10 @@
  *     --stimuli <file>       JSON stimulus batch ({"batch": [...]},
  *                            serve/protocol.h schema) for --batch
  *     --threads <N>          most threads --batch and --serve spread
- *                            independent batch tiles over (default:
- *                            the usable cores; a batch too short to
- *                            pay for waking them runs on one; requires
- *                            --batch, --stimuli or --serve)
+ *                            independent batch tiles over, 1 to 1024
+ *                            (default: the usable cores; a batch too
+ *                            short to pay for waking them runs on one;
+ *                            requires --batch, --stimuli or --serve)
  *     --lane-tile <N>        widest compiled tile, in lanes (default
  *                            16; short batch tails run scalar)
  *     --serve                stimulus-stream service: read
@@ -102,6 +102,10 @@
 
 namespace {
 
+/** Most threads --threads accepts, so that a typo cannot ask a wide
+ * batch for more threads than the process may start. */
+constexpr unsigned long kMaxThreads = 1024;
+
 /** "jacobi, levelized, or compiled" from the engine registry. */
 std::string
 engineList()
@@ -147,7 +151,8 @@ usage()
            "  --batch <N>            batched simulation of N stimuli\n"
            "  --stimuli <file>       JSON stimulus batch for --batch\n"
            "  --threads <N>          most threads for --batch/--serve\n"
-           "                         tiles (default: usable cores)\n"
+           "                         tiles, 1 to 1024 (default: usable\n"
+           "                         cores)\n"
            "  --lane-tile <N>        widest compiled tile, in lanes\n"
            "                         (default 16)\n"
            "  --serve                stimulus-stream service on\n"
@@ -353,12 +358,18 @@ main(int argc, char **argv)
         } else if (a == "--threads") {
             if (++i >= args.size())
                 return usage();
-            threads = static_cast<unsigned>(
-                std::strtoul(args[i].c_str(), nullptr, 10));
-            if (threads == 0) {
-                std::cerr << "error: --threads wants a positive count\n";
+            // Digits only: strtoul reads "-1" as the largest count.
+            const std::string &n = args[i];
+            unsigned long count =
+                n.empty() || n[0] < '0' || n[0] > '9'
+                    ? 0
+                    : std::strtoul(n.c_str(), nullptr, 10);
+            if (count == 0 || count > kMaxThreads) {
+                std::cerr << "error: --threads wants a count from 1 to "
+                          << kMaxThreads << "\n";
                 return 2;
             }
+            threads = static_cast<unsigned>(count);
         } else if (a == "--lane-tile") {
             if (++i >= args.size())
                 return usage();
