@@ -76,6 +76,29 @@ for count in 0 -1 1025 100000; do
     fi
 done
 
+# --batch takes a count from 1 to 65536; anything else is a usage
+# error, reported before a stimulus is allocated.
+for count in -1 0 abc 65537; do
+    "$futil" --batch "$count" examples/counter.futil > /dev/null 2>&1
+    status=$?
+    if [ $status -ne 2 ]; then
+        echo "FAIL: futil --batch $count exited $status, want 2" >&2
+        failures=$((failures + 1))
+    else
+        echo "ok   futil --batch $count is rejected"
+    fi
+done
+
+# The tile width is a constant: --lane-tile is an unknown option.
+"$futil" --lane-tile 4 --batch 2 examples/counter.futil > /dev/null 2>&1
+status=$?
+if [ $status -ne 2 ]; then
+    echo "FAIL: futil --lane-tile 4 exited $status, want 2" >&2
+    failures=$((failures + 1))
+else
+    echo "ok   futil --lane-tile is an unknown option"
+fi
+
 if [ $failures -ne 0 ]; then
     echo "backend_smoke: $failures failure(s)" >&2
     exit 1

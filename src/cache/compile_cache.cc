@@ -320,10 +320,7 @@ CompileService::compile(const CompileRequest &req)
             }
         }
         Context sub_ctx = Parser::parseProgram(sub.str());
-        passes::RunOptions run_opts;
-        run_opts.verify = req.verify;
-        res.passInfos =
-            passes::runPipeline(sub_ctx, res.pipeline, run_opts);
+        res.passInfos = passes::runPipeline(sub_ctx, res.pipeline);
 
         for (size_t i = 0; i < n; ++i) {
             if (cached[i])

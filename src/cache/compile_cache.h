@@ -144,8 +144,6 @@ struct CompileRequest
     std::string source;
     std::string pipeline = "default";
     std::string backend = "calyx";
-    /** Run the well-formed checker between passes. */
-    bool verify = false;
 };
 
 /** Emitted artifact + provenance for one request. */
@@ -192,9 +190,9 @@ class CompileService
         : store(std::move(cfg))
     {}
 
-    /** Compile one request. fatal()s (throws Error) on parse errors,
-     * unknown passes/backends (with did-you-mean), or verify failures;
-     * the cache is left consistent either way. */
+    /** Compile one request. fatal()s (throws Error) on parse errors or
+     * unknown passes/backends (with did-you-mean); the cache is left
+     * consistent either way. */
     CompileResult compile(const CompileRequest &req);
 
     const Counters &counters() const { return counts; }

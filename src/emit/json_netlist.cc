@@ -318,7 +318,9 @@ JsonNetlistBackend::emit(const Context &ctx, std::ostream &os) const
         comps.push(componentToJson(*comp));
     doc.set("components", std::move(comps));
 
-    doc.write(os);
+    // Compact: lowered guards nest hundreds of levels deep, so
+    // indentation would outweigh the netlist itself.
+    doc.write(os, -1);
     os << "\n";
 }
 

@@ -22,7 +22,7 @@ statsJson(const ServeOptions &opts, const ServeStats &stats,
     json::Value s = json::Value::object();
     s.set("engine",
           json::Value::str(sim::engineName(runner.options().engine)));
-    s.set("lane_tile", json::Value::number(runner.options().laneTile));
+    s.set("lane_tile", json::Value::number(sim::BatchOptions::laneTile));
     s.set("threads", json::Value::number(runner.options().threads));
     s.set("requests", json::Value::number(stats.requests));
     s.set("runs", json::Value::number(stats.runs));
@@ -97,16 +97,10 @@ ServeStats
 serve(const sim::SimProgram &prog, std::istream &in, std::ostream &out,
       const ServeOptions &opts)
 {
-    sim::BatchOptions bo;
-    bo.engine = opts.engine;
-    bo.threads = opts.threads;
-    if (opts.laneTile)
-        bo.laneTile = opts.laneTile;
-    bo.maxCycles = opts.maxCycles;
     // Resident runner: schedule walk tables are built here, once; each
     // compiled module shape (scalar, lane-tile-wide) loads inside the
     // first run request that needs it and stays for the session.
-    sim::BatchRunner runner(prog, bo);
+    sim::BatchRunner runner(prog, opts.batch);
     // Resident compiler: the compile cache lives for the session, so a
     // stream of mutated programs pays the pass pipeline only for the
     // components that actually changed.

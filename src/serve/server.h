@@ -17,16 +17,13 @@ namespace calyx::serve {
 
 struct ServeOptions
 {
-    sim::Engine engine = sim::Engine::Compiled;
-    /// Most threads a `run` request spreads its tiles over: by default
-    /// the usable cores of the thread that builds these options. A cap
-    /// that the grain gate lowers for short batches
-    /// (BatchOptions::threads). `compile` requests run their passes on
-    /// the serve thread.
-    unsigned threads = WorkPool::defaultThreads();
-    /// 0 keeps the BatchOptions default (widest compiled tile).
-    uint32_t laneTile = 0;
-    uint64_t maxCycles = 50'000'000;
+    /// The session's BatchRunner options, passed as they are: the
+    /// engine (compiled by default) and the most threads a `run`
+    /// request spreads its tiles over (by default the usable cores of
+    /// the thread that builds these options, a cap the grain gate
+    /// lowers for short batches). `compile` requests run their passes
+    /// on the serve thread.
+    sim::BatchOptions batch;
     /// Input path, echoed in the stats report envelope.
     std::string file;
     /// Compile-cache configuration for `compile` requests (the default
@@ -47,20 +44,22 @@ struct ServeStats
 
 /**
  * The `futil --serve` loop: a resident compile + stimulus-stream
- * service. One BatchRunner — schedule and driver tables up front, the
- * scalar and lane-tile-wide JIT modules on first use — serves every
- * `run` request, so a stream of stimulus batches loads at most two
- * modules (the `stats` request reports module_loads/modules_from_cache
- * to prove it, scalar_tiles/lane_tiles/padded_lanes to show the tile
- * shapes run, and under "pool" the dispatch counters behind the grain
- * gate's choices), and one cache::CompileService answers `compile`
- * requests (source + pipeline spec + backend in, emitted artifact out) with
- * content-addressed caching and incremental per-component reuse, so a
- * stream of mutated programs is served from memory (`stats` mirrors
- * the cache-hit counters under "compile"). Requests and responses are
- * length-prefixed JSON frames (serve/protocol.h) over plain streams:
- * stdin/stdout under futil, stringstreams under test, a socketpair
- * behind inetd-style supervision — the loop does not care.
+ * service. One BatchRunner, built from opts.batch — schedule and
+ * driver tables up front, the scalar and lane-tile-wide JIT modules on
+ * first use — serves every `run` request, so a stream of stimulus
+ * batches loads at most two modules (the `stats` request reports
+ * module_loads/modules_from_cache to prove it, lane_tile (the constant
+ * BatchOptions::laneTile) and scalar_tiles/lane_tiles/padded_lanes to
+ * show the tile shapes run, and under "pool" the dispatch counters
+ * behind the grain gate's choices), and one cache::CompileService
+ * answers `compile` requests (source + pipeline spec + backend in,
+ * emitted artifact out) with content-addressed caching and incremental
+ * per-component reuse, so a stream of mutated programs is served from
+ * memory (`stats` mirrors the cache-hit counters under "compile").
+ * Requests and responses are length-prefixed JSON frames
+ * (serve/protocol.h) over plain streams: stdin/stdout under futil,
+ * stringstreams under test, a socketpair behind inetd-style
+ * supervision — the loop does not care.
  *
  * Error handling is two-tier: a frame that parses but holds a bad
  * request (malformed JSON, unknown type, bad stimulus shape, unknown

@@ -31,8 +31,6 @@ BatchRunner::BatchRunner(const SimProgram &program, const BatchOptions &o)
               "engines; the jacobi oracle stays scalar (use "
               "--sim-engine=levelized or compiled)");
     }
-    if (opts.laneTile == 0)
-        fatal("batched simulation: lane tile must be >= 1");
     if (opts.threads == 0)
         fatal("batched simulation: thread count must be >= 1");
 
@@ -179,8 +177,8 @@ BatchRunner::runCompiledTile(const std::vector<Stimulus> &batch,
     uint32_t liveCount = lanes;
     uint64_t cycles = 0;
     while (liveCount) {
-        if (++cycles > opts.maxCycles) {
-            fatal("batched simulation exceeded ", opts.maxCycles,
+        if (++cycles > kMaxCycles) {
+            fatal("batched simulation exceeded ", kMaxCycles,
                   " cycles with ", liveCount, " of ", lanes,
                   " lanes unfinished");
         }
@@ -243,8 +241,8 @@ BatchRunner::runLevelizedTile(const std::vector<Stimulus> &batch,
     uint64_t cycles = 0;
     st.reset();
     while (live) {
-        if (++cycles > opts.maxCycles) {
-            fatal("batched simulation exceeded ", opts.maxCycles,
+        if (++cycles > kMaxCycles) {
+            fatal("batched simulation exceeded ", kMaxCycles,
                   " cycles with ", live, " of ", count,
                   " lanes unfinished");
         }
@@ -281,15 +279,15 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
         return out;
     const size_t B = batch.size();
     const bool compiled = opts.engine == Engine::Compiled;
+    constexpr uint32_t L = BatchOptions::laneTile;
 
     std::vector<Tile> tiles;
     std::shared_ptr<CompiledModule> wide, scalar;
     if (compiled) {
         // Tile shape follows the batch (see BatchOptions::laneTile):
-        // full laneTile-wide tiles, then a remainder of at most half a
-        // tile as one-lane tiles on the scalar module, or a longer one
-        // as a single padded laneTile-wide tile.
-        const uint32_t L = opts.laneTile;
+        // full L-wide tiles, then a remainder of at most half a tile as
+        // one-lane tiles on the scalar module, or a longer one as a
+        // single padded L-wide tile.
         size_t wideTiles = B / L, scalarTiles = B % L;
         if (scalarTiles > L / 2) {
             ++wideTiles;
@@ -304,8 +302,8 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
         scalar = scalarTiles ? moduleFor(1) : nullptr;
     } else {
         // The last tile narrows to what is left: never padded.
-        for (size_t s = 0; s < B; s += opts.laneTile) {
-            size_t count = std::min<size_t>(opts.laneTile, B - s);
+        for (size_t s = 0; s < B; s += L) {
+            size_t count = std::min<size_t>(L, B - s);
             tiles.push_back({s, count, static_cast<uint32_t>(count)});
         }
     }
@@ -321,7 +319,7 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
         double t0 = nowSeconds();
         if (compiled) {
             runCompiledTile(batch, t.start, t.count, t.lanes,
-                            t.lanes == opts.laneTile ? *wide : *scalar,
+                            t.lanes == L ? *wide : *scalar,
                             out);
         } else {
             runLevelizedTile(batch, t.start, t.count, out);
@@ -340,14 +338,6 @@ BatchRunner::run(const std::vector<Stimulus> &batch)
                                                        : secs[i];
     }
     return out;
-}
-
-std::vector<LaneResult>
-runBatch(const SimProgram &prog, const std::vector<Stimulus> &batch,
-         const BatchOptions &opts)
-{
-    BatchRunner runner(prog, opts);
-    return runner.run(batch);
 }
 
 } // namespace calyx::sim

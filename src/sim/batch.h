@@ -50,8 +50,9 @@ struct BatchOptions
      */
     unsigned threads = WorkPool::defaultThreads();
     /**
-     * Widest tile, in lanes. Each tile is one schedule walk (levelized)
-     * or one module pass (compiled) and one work item for the pool.
+     * Widest tile, in lanes: a constant, not a setting. Each tile is
+     * one schedule walk (levelized) or one module pass (compiled) and
+     * one work item for the pool.
      *
      * The compiled engine cuts a batch into full laneTile-wide tiles on
      * a module compiled for exactly laneTile lanes. A remainder of at
@@ -63,12 +64,13 @@ struct BatchOptions
      * (systolic 16x16), 8.9 (eight PolyBench kernels) and 11.9 (the
      * same, unrolled): 5.8 ms scalar against 103 ms per tile, 45.2
      * against 403, 46.5 against 552, on a 4-vCPU x86-64 host (Release,
-     * one thread, batch 64). laneTile/2 stays below each. The levelized engine narrows the last tile to what is
-     * left instead (its interpreter cost is linear in live lanes, so
-     * padding only wastes work).
+     * one thread, batch 64). laneTile/2 stays below each.
+     *
+     * The levelized engine narrows the last tile to what is left
+     * instead (its interpreter cost is linear in live lanes, so padding
+     * only wastes work).
      */
-    uint32_t laneTile = 16;
-    uint64_t maxCycles = 50'000'000;
+    static constexpr uint32_t laneTile = 16;
 };
 
 /**
@@ -205,11 +207,6 @@ class BatchRunner
     uint64_t gatedSerial = 0;
     unsigned lastWidth = 0;
 };
-
-/** One-shot convenience over a temporary BatchRunner. */
-std::vector<LaneResult> runBatch(const SimProgram &prog,
-                                 const std::vector<Stimulus> &batch,
-                                 const BatchOptions &opts);
 
 } // namespace calyx::sim
 

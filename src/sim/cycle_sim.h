@@ -28,7 +28,7 @@ class CycleSim
      * Drive `go` high and clock the design until `done` reads 1.
      * @return cycle count, inclusive of the cycle when done is observed.
      */
-    uint64_t run(uint64_t max_cycles = 50'000'000);
+    uint64_t run(uint64_t max_cycles = kMaxCycles);
 
     SimState &state() { return stateVal; }
     const SimState &state() const { return stateVal; }

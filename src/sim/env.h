@@ -63,6 +63,10 @@ const char *engineName(Engine engine);
  * did-you-mean suggestion on a miss. */
 Engine parseEngine(const std::string &name);
 
+/** Cycles a run may take before it is declared hung: scalar CycleSim
+ * and Interp runs (their default) and every batch tile. */
+constexpr uint64_t kMaxCycles = 50'000'000;
+
 /**
  * A compiled guard expression: the source Guard tree flattened to a
  * postorder array evaluated with a value stack. Port references are

@@ -34,7 +34,7 @@ class Interp
      * Run the top component's control program to completion.
      * @return the number of cycles executed.
      */
-    uint64_t run(uint64_t max_cycles = 50'000'000);
+    uint64_t run(uint64_t max_cycles = kMaxCycles);
 
     SimState &state() { return stateVal; }
     const SimState &state() const { return stateVal; }

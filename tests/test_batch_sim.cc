@@ -206,8 +206,9 @@ TEST(BatchSim, DivergentControlPathsPerLane)
     Context ctx = Parser::parseProgram(kDataBoundedLoop);
     passes::runPipeline(ctx, "all");
     // Divergent trip counts, deliberately out of order, including the
-    // zero-trip edge and lanes that straddle tile boundaries.
-    std::vector<uint64_t> bounds = {5, 0, 13, 1, 7, 2, 9, 0, 4, 11};
+    // zero-trip edge and lanes that straddle the tile boundary.
+    std::vector<uint64_t> bounds = {5, 0, 13, 1, 7, 2, 9, 0, 4, 11,
+                                    3, 12, 6, 8, 0, 10, 2, 7, 1};
     std::vector<sim::Stimulus> batch;
     for (uint64_t b : bounds) {
         sim::Stimulus s;
@@ -218,10 +219,9 @@ TEST(BatchSim, DivergentControlPathsPerLane)
     for (sim::Engine engine : batchEngines()) {
         sim::BatchOptions opts;
         opts.engine = engine;
-        // 10 lanes -> tiles of 4, 4, and a 2-stimulus tail (two
+        // 19 lanes -> one full 16-lane tile and a 3-stimulus tail (three
         // scalar tiles on the compiled engine, one narrowed levelized
         // tile).
-        opts.laneTile = 4;
         opts.threads = 3;
         expectBatchMatchesScalar(ctx, batch, refs, opts,
                                  "data-bounded loop");
@@ -231,7 +231,7 @@ TEST(BatchSim, DivergentControlPathsPerLane)
     sim::SimProgram sp(ctx, ctx.entrypoint());
     sim::BatchOptions opts;
     opts.engine = sim::Engine::Levelized;
-    auto results = sim::runBatch(sp, batch, opts);
+    auto results = sim::BatchRunner(sp, opts).run(batch);
     EXPECT_NE(results[0].cycles, results[1].cycles);
     EXPECT_NE(results[0].cycles, results[2].cycles);
     EXPECT_EQ(results[1].cycles, results[7].cycles); // Both zero-trip.
@@ -244,21 +244,29 @@ TEST(BatchSim, PolybenchDivergentDataPerLane)
     Context ctx = dahlia::compileDahlia(prog);
     passes::runPipeline(ctx, "all");
 
+    // Six distinct input sets, each held to a Jacobi run of its own,
+    // repeated over 19 lanes: a full 16-lane tile and a 3-stimulus
+    // tail.
     workloads::MemState base = workloads::makeInputs("gemm", prog);
-    std::vector<sim::Stimulus> batch;
-    for (uint64_t lane = 0; lane < 6; ++lane) {
+    std::vector<sim::Stimulus> distinct;
+    for (uint64_t v = 0; v < 6; ++v) {
         workloads::MemState inputs = base;
         for (auto &[name, data] : inputs)
             for (size_t i = 0; i < data.size(); ++i)
-                data[i] += lane * (i % 7);
-        batch.push_back(workloads::makeStimulus(prog, inputs));
+                data[i] += v * (i % 7);
+        distinct.push_back(workloads::makeStimulus(prog, inputs));
     }
-    auto refs = jacobiRefs(ctx, batch);
+    auto distinctRefs = jacobiRefs(ctx, distinct);
+    std::vector<sim::Stimulus> batch;
+    std::vector<ScalarRef> refs;
+    for (size_t lane = 0; lane < 19; ++lane) {
+        batch.push_back(distinct[lane % distinct.size()]);
+        refs.push_back(distinctRefs[lane % distinct.size()]);
+    }
     for (sim::Engine engine : batchEngines()) {
         sim::BatchOptions opts;
         opts.engine = engine;
-        opts.laneTile = 4; // 2-stimulus tail: scalar tiles (compiled).
-        opts.threads = 2;
+        opts.threads = 2; // 3-stimulus tail: scalar tiles (compiled).
         expectBatchMatchesScalar(ctx, batch, refs, opts, "gemm");
     }
 }
@@ -281,21 +289,20 @@ TEST(BatchSim, CompiledTailShapesMatchScalar)
         GTEST_SKIP() << sim::compiledEngineUnavailableReason();
     Context ctx = Parser::parseProgram(kDataBoundedLoop);
     passes::runPipeline(ctx, "all");
-    // laneTile 8: a batch of 11 is one full tile plus a 3-stimulus
-    // tail (<= 4) on three scalar tiles; a batch of 14 has a 6-stimulus
-    // tail (> 4), which runs as one padded 8-lane tile.
+    // A batch of 19 is one full 16-lane tile plus a 3-stimulus tail
+    // (<= 8) on three scalar tiles; a batch of 27 has an 11-stimulus
+    // tail (> 8), which runs as one padded 16-lane tile.
     struct Shape
     {
         size_t batch;
         uint64_t scalarTiles, laneTiles, paddedLanes;
     };
-    for (Shape shape : {Shape{11, 3, 1, 0}, Shape{14, 0, 2, 2}}) {
+    for (Shape shape : {Shape{19, 3, 1, 0}, Shape{27, 0, 2, 5}}) {
         auto batch = boundedLoopBatch(shape.batch);
         auto refs = jacobiRefs(ctx, batch);
         for (unsigned threads : {1u, 3u}) {
             sim::BatchOptions opts;
             opts.engine = sim::Engine::Compiled;
-            opts.laneTile = 8;
             opts.threads = threads;
             std::string label = "batch " + std::to_string(shape.batch) +
                                 ", " + std::to_string(threads) + " threads";
@@ -317,14 +324,13 @@ TEST(BatchSim, ResidentRunnerReusesOneModule)
     sim::SimProgram sp(ctx, ctx.entrypoint());
     sim::BatchOptions opts;
     opts.engine = sim::Engine::Compiled;
-    opts.laneTile = 8;
     sim::BatchRunner runner(sp, opts);
-    std::vector<sim::Stimulus> batch(8);
-    for (uint64_t b = 0; b < 8; ++b)
+    std::vector<sim::Stimulus> batch(16);
+    for (uint64_t b = 0; b < 16; ++b)
         batch[b].mems.emplace_back("bound", std::vector<uint64_t>{b});
     for (int round = 0; round < 5; ++round) {
         auto results = runner.run(batch);
-        for (uint64_t b = 1; b < 8; ++b)
+        for (uint64_t b = 1; b < 16; ++b)
             EXPECT_EQ(results[b].regs[0], 3 * b)
                 << "round " << round << " lane " << b;
     }
@@ -332,7 +338,7 @@ TEST(BatchSim, ResidentRunnerReusesOneModule)
     EXPECT_EQ(runner.moduleLoads(), 1u);
 
     // Batches of every shape add at most the scalar module.
-    for (size_t n : {1, 3, 8, 11}) {
+    for (size_t n : {1, 3, 16, 19}) {
         auto shaped = boundedLoopBatch(n);
         auto results = runner.run(shaped);
         for (size_t b = 0; b < n; ++b)
@@ -475,7 +481,7 @@ TEST(BatchSim, RejectsUnknownStimulusMemory)
     std::vector<sim::Stimulus> batch(1);
     batch[0].mems.emplace_back("no_such_mem", std::vector<uint64_t>{1});
     try {
-        sim::runBatch(sp, batch, opts);
+        sim::BatchRunner(sp, opts).run(batch);
         FAIL() << "unknown stimulus memory was not rejected";
     } catch (const Error &e) {
         std::string msg = e.what();

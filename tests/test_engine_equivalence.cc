@@ -199,8 +199,9 @@ TEST(EngineEquivalence, SystolicConfiguration)
     EXPECT_GE(tableLoops(scalar.str(), "clk", ""), 1u);
     EXPECT_EQ(lanes.str().find("kTab"), std::string::npos);
 
-    // One-lane compiled tiles run the scalar module too, here on
-    // distinct stimuli, each held to a Jacobi run of its own.
+    // One-lane compiled tiles (a batch of 3 is a short tail) run the
+    // scalar module too, here on distinct stimuli, each held to a
+    // Jacobi run of its own.
     if (!sim::compiledEngineUnavailableReason().empty())
         return;
     std::vector<sim::Stimulus> batch(3);
@@ -217,8 +218,9 @@ TEST(EngineEquivalence, SystolicConfiguration)
     }
     sim::BatchOptions opts;
     opts.engine = sim::Engine::Compiled;
-    opts.laneTile = 1;
-    auto results = sim::runBatch(sp, batch, opts);
+    sim::BatchRunner runner(sp, opts);
+    auto results = runner.run(batch);
+    EXPECT_EQ(runner.tileCounts().scalarTiles, batch.size());
     ASSERT_EQ(results.size(), batch.size());
     for (size_t b = 0; b < batch.size(); ++b) {
         sim::SimProgram ref(ctx, "main");
@@ -526,26 +528,31 @@ TEST(EngineEquivalence, GuardMemoMatchesJacobiAroundSharedGuardScc)
     });
     ASSERT_NE(zIn, cont.end());
     EXPECT_GT(zIn->guard.nodes.size(), 64u);
-    // One-lane tiles (with two threads, three concurrent tiles, each
-    // with its own memo plane or module instance), and one three-lane
-    // tile whose lanes share one walk of the SCC sweep.
+    // Batch 3: three one-lane compiled tiles (with two threads,
+    // concurrent, each with its own module instance), or one three-lane
+    // levelized tile whose lanes share one walk of the SCC sweep.
+    // Batch 16: one full 16-lane tile on either engine. Batch 17 with
+    // two threads: that tile concurrent with a one-lane tile (the
+    // scalar module, or a narrowed levelized tile), each with its own
+    // memo planes or module instance.
     struct Shape
     {
-        uint32_t laneTile;
+        size_t batch;
         unsigned threads;
     };
     for (sim::Engine engine : comparisonEngines()) {
-        for (Shape shape : {Shape{1, 1}, Shape{1, 2}, Shape{3, 1}}) {
+        for (Shape shape :
+             {Shape{3, 1}, Shape{3, 2}, Shape{16, 1}, Shape{17, 2}}) {
             sim::BatchOptions opts;
             opts.engine = engine;
-            opts.laneTile = shape.laneTile;
             opts.threads = shape.threads;
-            std::string label = std::string("batch, ") +
-                                sim::engineName(engine) + ", tile " +
-                                std::to_string(shape.laneTile) + " x" +
+            std::string label = std::string("batch ") +
+                                std::to_string(shape.batch) + ", " +
+                                sim::engineName(engine) + " x" +
                                 std::to_string(shape.threads);
-            auto lanes =
-                sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
+            auto lanes = sim::BatchRunner(sp, opts).run(
+                std::vector<sim::Stimulus>(shape.batch));
+            ASSERT_EQ(lanes.size(), shape.batch) << label;
             for (const sim::LaneResult &r : lanes) {
                 EXPECT_EQ(jacobiCycles, r.cycles) << label;
                 EXPECT_EQ(regs, r.regs) << label;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "emit/json_netlist.h"
 #include "helpers.h"
 #include "ir/builder.h"
@@ -110,16 +113,24 @@ TEST(JsonNetlist, RoundTripPreservesMemoryState)
     sim::CycleSim cs(sp);
     uint64_t cycles = cs.run();
 
+    // The document is compact: one line plus the final newline.
     std::string text = JsonNetlistBackend().emitString(ctx);
-    Context loaded = loadJsonNetlist(text);
-    sim::SimProgram sp2(loaded, "main");
-    sim::CycleSim cs2(sp2);
-    uint64_t cycles2 = cs2.run();
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
+    EXPECT_EQ(text.back(), '\n');
+    // The loader reads the compact form and an indented one alike.
+    std::ostringstream indented;
+    json::parse(text).write(indented);
+    for (const std::string &form : {text, indented.str()}) {
+        Context loaded = loadJsonNetlist(form);
+        sim::SimProgram sp2(loaded, "main");
+        sim::CycleSim cs2(sp2);
+        uint64_t cycles2 = cs2.run();
 
-    EXPECT_EQ(cycles2, cycles);
-    EXPECT_EQ(*sp.findModel("m")->memory(),
-              *sp2.findModel("m")->memory());
-    EXPECT_EQ((*sp2.findModel("m")->memory())[0], 9u);
+        EXPECT_EQ(cycles2, cycles);
+        EXPECT_EQ(*sp.findModel("m")->memory(),
+                  *sp2.findModel("m")->memory());
+        EXPECT_EQ((*sp2.findModel("m")->memory())[0], 9u);
+    }
 }
 
 TEST(JsonNetlist, EmitLoadEmitIsAFixpoint)

@@ -199,7 +199,7 @@ TEST(Serve, RoundTripWithMalformedRejection)
         frame("{\"type\": \"shutdown\"}"));
     std::ostringstream out;
     serve::ServeOptions opts;
-    opts.engine = sim::Engine::Levelized;
+    opts.batch.engine = sim::Engine::Levelized;
     opts.file = "loop.futil";
     serve::ServeStats st = serve::serve(sp, in, out, opts);
 
@@ -253,7 +253,7 @@ TEST(Serve, BrokenFramingEndsSessionWithError)
                           frame("{\"type\": \"ping\"}"));
     std::ostringstream out;
     serve::ServeOptions opts;
-    opts.engine = sim::Engine::Levelized;
+    opts.batch.engine = sim::Engine::Levelized;
     serve::ServeStats st = serve::serve(sp, in, out, opts);
     EXPECT_EQ(st.requests, 1u);
     EXPECT_EQ(st.errors, 1u);
@@ -276,7 +276,7 @@ TEST(Serve, TooDeepRequestIsABadRequest)
         frame("{\"type\": \"ping\"}"));
     std::ostringstream out;
     serve::ServeOptions opts;
-    opts.engine = sim::Engine::Levelized;
+    opts.batch.engine = sim::Engine::Levelized;
     serve::ServeStats st = serve::serve(sp, in, out, opts);
     EXPECT_EQ(st.requests, 2u);
     EXPECT_EQ(st.errors, 1u);
@@ -299,8 +299,7 @@ TEST(Serve, SustainsHundredRequestsOnResidentCompiledModule)
     sim::SimProgram sp(ctx, ctx.entrypoint());
 
     serve::ServeOptions opts;
-    opts.engine = sim::Engine::Compiled;
-    opts.laneTile = 4;
+    opts.batch.engine = sim::Engine::Compiled;
 
     // First session warms the on-disk object cache so the second can
     // assert a pure cache hit (no host-compiler invocation at all).
@@ -337,7 +336,7 @@ TEST(Serve, SustainsHundredRequestsOnResidentCompiledModule)
     }
     const json::Value &serve_stats = docs[100].at("result").at("serve");
     // Resident module: 100 runs, exactly one JIT load, served from
-    // the object cache without recompiling. Batches of 2 on a 4-lane
+    // the object cache without recompiling. Batches of 2 on a 16-lane
     // tile are short tails: every stimulus runs on the scalar module.
     EXPECT_EQ(serve_stats.at("module_loads").asNum(), 1u);
     EXPECT_TRUE(serve_stats.at("modules_from_cache").asBool());
@@ -353,11 +352,15 @@ TEST(Serve, StatsReportResolvedThreadsAndPool)
     Context ctx = loweredLoop();
     sim::SimProgram sp(ctx, ctx.entrypoint());
     serve::ServeOptions opts;
-    EXPECT_EQ(opts.threads, WorkPool::defaultThreads());
-    opts.engine = sim::Engine::Levelized;
-    opts.laneTile = 1; // Four one-lane tiles per request.
-    std::istringstream in(frame(runRequest({1, 2, 3, 4})) +
-                          frame(runRequest({4, 3, 2, 1})) +
+    EXPECT_EQ(opts.batch.threads, WorkPool::defaultThreads());
+    opts.batch.engine = sim::Engine::Levelized;
+    // 17 stimuli per request: a 16-lane tile and a one-lane tile.
+    std::vector<uint64_t> up(17), down(17);
+    for (uint64_t b = 0; b < 17; ++b) {
+        up[b] = b;
+        down[b] = 16 - b;
+    }
+    std::istringstream in(frame(runRequest(up)) + frame(runRequest(down)) +
                           frame("{\"type\": \"stats\"}"));
     std::ostringstream out;
     serve::serve(sp, in, out, opts);
@@ -386,13 +389,16 @@ TEST(Serve, StatsCountTileShapes)
     sim::SimProgram sp(ctx, ctx.entrypoint());
 
     serve::ServeOptions opts;
-    opts.engine = sim::Engine::Compiled;
-    opts.laneTile = 4;
-    // Batch 1: one scalar tile. Batch 3: a tail over half the tile,
-    // one padded 4-lane tile. Batch 4: one full tile. Batch 6: one
+    opts.batch.engine = sim::Engine::Compiled;
+    // Batch 1: one scalar tile. Batch 11: a tail over half the tile,
+    // one padded 16-lane tile. Batch 16: one full tile. Batch 18: one
     // full tile plus two scalar tiles.
-    const std::vector<std::vector<uint64_t>> batches = {
-        {5}, {1, 2, 3}, {4, 0, 6, 2}, {7, 1, 3, 9, 2, 8}};
+    std::vector<std::vector<uint64_t>> batches = {{5}};
+    for (size_t n : {11, 16, 18}) {
+        std::vector<uint64_t> &b = batches.emplace_back(n);
+        for (size_t l = 0; l < n; ++l)
+            b[l] = (l * 7 + n) % 13;
+    }
     std::string input;
     for (const auto &b : batches)
         input += frame(runRequest(b));
@@ -414,10 +420,11 @@ TEST(Serve, StatsCountTileShapes)
     }
     const json::Value &serve_stats =
         docs[batches.size()].at("result").at("serve");
+    EXPECT_EQ(serve_stats.at("lane_tile").asNum(), 16u);
     EXPECT_EQ(serve_stats.at("module_loads").asNum(), 2u);
     EXPECT_EQ(serve_stats.at("scalar_tiles").asNum(), 3u);
     EXPECT_EQ(serve_stats.at("lane_tiles").asNum(), 3u);
-    EXPECT_EQ(serve_stats.at("padded_lanes").asNum(), 1u);
+    EXPECT_EQ(serve_stats.at("padded_lanes").asNum(), 5u);
 }
 
 TEST(Serve, CompileRequestRoundTrip)
@@ -445,7 +452,7 @@ TEST(Serve, CompileRequestRoundTrip)
         frame("{\"type\": \"stats\"}") + frame("{\"type\": \"shutdown\"}"));
     std::ostringstream out;
     serve::ServeOptions opts;
-    opts.engine = sim::Engine::Levelized;
+    opts.batch.engine = sim::Engine::Levelized;
     serve::ServeStats st = serve::serve(sp, in, out, opts);
     EXPECT_EQ(st.compiles, 2u);
     EXPECT_EQ(st.errors, 2u);

@@ -303,25 +303,31 @@ TEST(SimEdge, DeepGuardUsesHeapScratch)
         EXPECT_EQ(st.value("x.in"), 7u) << sim::engineName(engine);
     }
 
-    // One-lane tiles: with two threads the three stimuli run as three
-    // concurrent tiles, each walking its own guard memo plane or
-    // module instance.
+    // Batch 3 runs as three one-lane compiled tiles or one three-lane
+    // levelized tile; batch 17 as a 16-lane tile and a one-lane tile
+    // (the scalar module, or a narrowed levelized tile). With two
+    // threads the tiles run concurrently, each walking its own guard
+    // memo planes or module instance.
     for (sim::Engine engine : fast) {
-        for (unsigned threads : {1u, 2u}) {
-            sim::BatchOptions opts;
-            opts.engine = engine;
-            opts.laneTile = 1;
-            opts.threads = threads;
-            auto results =
-                sim::runBatch(sp, std::vector<sim::Stimulus>(3), opts);
-            ASSERT_EQ(results.size(), 3u);
-            std::string label = std::string("batch, ") +
-                                sim::engineName(engine) + " x" +
-                                std::to_string(threads);
-            for (const sim::LaneResult &r : results) {
-                // Cycle 1 writes x; x.done raises the top done in cycle 2.
-                EXPECT_EQ(r.cycles, 2u) << label;
-                EXPECT_EQ(r.regs, (std::vector<uint64_t>{0, 7})) << label;
+        for (size_t n : {3, 17}) {
+            for (unsigned threads : {1u, 2u}) {
+                sim::BatchOptions opts;
+                opts.engine = engine;
+                opts.threads = threads;
+                auto results = sim::BatchRunner(sp, opts).run(
+                    std::vector<sim::Stimulus>(n));
+                ASSERT_EQ(results.size(), n);
+                std::string label = std::string("batch ") +
+                                    std::to_string(n) + ", " +
+                                    sim::engineName(engine) + " x" +
+                                    std::to_string(threads);
+                for (const sim::LaneResult &r : results) {
+                    // Cycle 1 writes x; x.done raises the top done in
+                    // cycle 2.
+                    EXPECT_EQ(r.cycles, 2u) << label;
+                    EXPECT_EQ(r.regs, (std::vector<uint64_t>{0, 7}))
+                        << label;
+                }
             }
         }
     }

@@ -40,10 +40,11 @@
  *     --sim-engine=<e>       combinational engine: levelized (default),
  *                            jacobi (the reference fixed-point), or
  *                            compiled (codegen + JIT via the host CXX)
- *     --batch <N>            batched simulation of N stimulus sets
- *                            (sim/batch.h lane planes); stimuli come
- *                            from --stimuli or default to N copies of
- *                            the zero-initialized design
+ *     --batch <N>            batched simulation of N stimulus sets,
+ *                            1 to 65536 (sim/batch.h lane planes, 16
+ *                            lanes to a tile); stimuli come from
+ *                            --stimuli or default to N copies of the
+ *                            zero-initialized design
  *     --stimuli <file>       JSON stimulus batch ({"batch": [...]},
  *                            serve/protocol.h schema) for --batch
  *     --threads <N>          most threads --batch and --serve spread
@@ -51,8 +52,6 @@
  *                            (default: the usable cores; a batch too
  *                            short to pay for waking them runs on one;
  *                            requires --batch, --stimuli or --serve)
- *     --lane-tile <N>        widest compiled tile, in lanes (default
- *                            16; short batch tails run scalar)
  *     --serve                stimulus-stream service: read
  *                            length-prefixed JSON requests on stdin,
  *                            answer on stdout, keep the JIT module
@@ -70,6 +69,7 @@
  *         --emit-stats file.futil
  */
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -105,6 +105,22 @@ namespace {
 /** Most threads --threads accepts, so that a typo cannot ask a wide
  * batch for more threads than the process may start. */
 constexpr unsigned long kMaxThreads = 1024;
+
+/** Most stimuli --batch accepts: 16 times bench_perf's largest batch
+ * (gemm's 4,096), so that a typo cannot ask for billions. */
+constexpr unsigned long kMaxBatch = 65536;
+
+/** `text` as a count from 1 to `max`, or 0 when it is anything else.
+ * Digits only: strtoul reads "-1" as the largest count. */
+unsigned long
+parseCount(const std::string &text, unsigned long max)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return 0;
+    unsigned long n = std::strtoul(text.c_str(), nullptr, 10);
+    return n <= max ? n : 0;
+}
 
 /** "jacobi, levelized, or compiled" from the engine registry. */
 std::string
@@ -148,13 +164,12 @@ usage()
            "  --sim-engine=<e>       "
         << engineList()
         << " (default levelized)\n"
-           "  --batch <N>            batched simulation of N stimuli\n"
+           "  --batch <N>            batched simulation of N stimuli,\n"
+           "                         1 to 65536\n"
            "  --stimuli <file>       JSON stimulus batch for --batch\n"
            "  --threads <N>          most threads for --batch/--serve\n"
            "                         tiles, 1 to 1024 (default: usable\n"
            "                         cores)\n"
-           "  --lane-tile <N>        widest compiled tile, in lanes\n"
-           "                         (default 16)\n"
            "  --serve                stimulus-stream service on\n"
            "                         stdin/stdout (length-prefixed JSON)\n"
            "  --trace <file>         simulate, write a VCD trace\n"
@@ -241,7 +256,6 @@ main(int argc, char **argv)
     bool serve = false;
     uint64_t batch = 0; ///< 0 = scalar simulation.
     unsigned threads = 0; ///< 0 = the options' default, usable cores.
-    uint32_t lane_tile = 0; ///< 0 = BatchOptions default.
     std::string stimuli_file;
     calyx::passes::RunOptions run_options;
     bool timings = false, timings_json = false;
@@ -346,9 +360,10 @@ main(int argc, char **argv)
         } else if (a == "--batch") {
             if (++i >= args.size())
                 return usage();
-            batch = std::strtoull(args[i].c_str(), nullptr, 10);
+            batch = parseCount(args[i], kMaxBatch);
             if (batch == 0) {
-                std::cerr << "error: --batch wants a positive count\n";
+                std::cerr << "error: --batch wants a count from 1 to "
+                          << kMaxBatch << "\n";
                 return 2;
             }
         } else if (a == "--stimuli") {
@@ -358,28 +373,13 @@ main(int argc, char **argv)
         } else if (a == "--threads") {
             if (++i >= args.size())
                 return usage();
-            // Digits only: strtoul reads "-1" as the largest count.
-            const std::string &n = args[i];
-            unsigned long count =
-                n.empty() || n[0] < '0' || n[0] > '9'
-                    ? 0
-                    : std::strtoul(n.c_str(), nullptr, 10);
-            if (count == 0 || count > kMaxThreads) {
+            unsigned long count = parseCount(args[i], kMaxThreads);
+            if (count == 0) {
                 std::cerr << "error: --threads wants a count from 1 to "
                           << kMaxThreads << "\n";
                 return 2;
             }
             threads = static_cast<unsigned>(count);
-        } else if (a == "--lane-tile") {
-            if (++i >= args.size())
-                return usage();
-            lane_tile = static_cast<uint32_t>(
-                std::strtoul(args[i].c_str(), nullptr, 10));
-            if (lane_tile == 0) {
-                std::cerr << "error: --lane-tile wants a positive "
-                             "count\n";
-                return 2;
-            }
         } else if (a == "--area") {
             area = true;
         } else if (a == "--stats") {
@@ -533,16 +533,17 @@ main(int argc, char **argv)
                       << "\nDSPs: " << a.dsps
                       << "\nregisters: " << a.registers << "\n";
         }
+        // --serve and --batch run the compiled engine, whose modules
+        // stay resident, unless the user asked for another one.
+        calyx::sim::BatchOptions batch_opts;
+        if (engine_set)
+            batch_opts.engine = sim_engine;
+        if (threads)
+            batch_opts.threads = threads;
         if (serve) {
             calyx::sim::SimProgram sp(ctx, ctx.entrypoint());
             calyx::serve::ServeOptions so;
-            // A resident service wants the resident-module engine
-            // unless the user explicitly asked for another one.
-            so.engine = engine_set ? sim_engine
-                                   : calyx::sim::Engine::Compiled;
-            if (threads)
-                so.threads = threads;
-            so.laneTile = lane_tile;
+            so.batch = batch_opts;
             so.file = file;
             // Opt into the persistent compile-cache tier the same way
             // the cppsim module cache does: via environment.
@@ -559,13 +560,6 @@ main(int argc, char **argv)
         }
         if (batched) {
             calyx::sim::SimProgram sp(ctx, ctx.entrypoint());
-            calyx::sim::BatchOptions bo;
-            bo.engine = engine_set ? sim_engine
-                                   : calyx::sim::Engine::Compiled;
-            if (threads)
-                bo.threads = threads;
-            if (lane_tile)
-                bo.laneTile = lane_tile;
 
             std::vector<calyx::sim::Stimulus> stimuli;
             if (!stimuli_file.empty()) {
@@ -597,7 +591,7 @@ main(int argc, char **argv)
                 stimuli.assign(batch, calyx::sim::Stimulus{});
             }
 
-            calyx::sim::BatchRunner runner(sp, bo);
+            calyx::sim::BatchRunner runner(sp, batch_opts);
             auto t0 = std::chrono::steady_clock::now();
             std::vector<calyx::sim::LaneResult> lanes =
                 runner.run(stimuli);
@@ -616,9 +610,11 @@ main(int argc, char **argv)
             std::cout << ", " << std::fixed << std::setprecision(1)
                       << (secs > 0 ? double(lanes.size()) / secs : 0.0)
                       << " stimuli/s ("
-                      << calyx::sim::engineName(bo.engine) << ", tile "
-                      << bo.laneTile << ", " << bo.threads
-                      << (bo.threads == 1 ? " thread, " : " threads, ")
+                      << calyx::sim::engineName(batch_opts.engine)
+                      << ", tile " << calyx::sim::BatchOptions::laneTile
+                      << ", " << batch_opts.threads
+                      << (batch_opts.threads == 1 ? " thread, "
+                                                  : " threads, ")
                       << runner.lastParticipants()
                       << (runner.lastParticipants() == 1 ? " participant)"
                                                          : " participants)")
